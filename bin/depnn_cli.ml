@@ -7,7 +7,7 @@
      depnn data-audit --samples 2000 --risky 0.25
      depnn train      --width 20 --epochs 20 --out predictor.net
      depnn verify     predictor.net --threshold 1.5 --time-limit 60
-     depnn verify     predictor.net --certify certs/ --watchdog
+     depnn verify     predictor.net --certify certs/
      depnn verify     predictor.net --split auto --certify certs/
      depnn audit      predictor.net certs/
      depnn perturb    predictor.net --out perturbed.net
@@ -311,7 +311,7 @@ let net_arg =
     & info [] ~docv:"NETWORK" ~doc:"Trained network file (depnn-network v1).")
 
 let verify net_path threshold time_limit slack cores portfolio bound_mode
-    lp_core certify_dir resume watchdog split =
+    lp_core certify_dir split =
   apply_lp_core lp_core;
   let net = Nn.Io.load net_path in
   Printf.printf "verifying %s (%s, %s bounds, %s lp core)\n"
@@ -337,58 +337,12 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
     "bounds (active/inactive/unstable): interval %d/%d/%d, symbolic \
      %d/%d/%d\n"
     ia ii iu sa si su;
-  (* A partitioned run is a decision query: the whole budget goes to
-     settling leaves against the threshold, not to the exact maximum. *)
-  (match split with
-   | Some _ ->
-       print_endline
-         "partitioned decision query: skipping the exact maximisation"
-   | None ->
-       let r =
-         Verify.Driver.max_lateral_velocity ~time_limit ~cores ?portfolio
-           ~components ~bound_mode net box
-       in
-       (match (r.Verify.Driver.value, r.Verify.Driver.optimal) with
-        | Some v, true ->
-            Printf.printf
-              "max lateral velocity with a vehicle on the left: %.6f m/s \
-               (exact)\n"
-              v
-        | Some v, false ->
-            Printf.printf
-              "best found %.6f m/s, proven bound %.6f (time limit hit)\n" v
-              r.Verify.Driver.upper_bound
-        | None, _ -> print_endline "n.a. (unable to find maximum)");
-       let st = r.Verify.Driver.encoder_stats in
-       Printf.printf
-         "encoding (%s, post-obbt): %d stable active, %d stable inactive, %d \
-          unstable; %d nodes, %.1fs\n"
-         (bound_mode_name bound_mode) st.Encoding.Encoder.stable_active
-         st.Encoding.Encoder.stable_inactive st.Encoding.Encoder.unstable
-         r.Verify.Driver.nodes r.Verify.Driver.elapsed;
-       Printf.printf "lp: %d rows x %d cols, %d nnz (density %.4f)\n"
-         st.Encoding.Encoder.rows st.Encoding.Encoder.cols
-         st.Encoding.Encoder.nnz st.Encoding.Encoder.density;
-       let fb = Lp.Simplex.sparse_fallbacks () in
-       if fb > 0 then
-         Printf.printf "lp: %d sparse solve%s fell back to the dense oracle\n"
-           fb
-           (if fb = 1 then "" else "s");
-       Printf.printf "per-component solve time:%s\n"
-         (String.concat ""
-            (Array.to_list
-               (Array.map (Printf.sprintf " %.2fs")
-                  r.Verify.Driver.component_elapsed)));
-       let ob = r.Verify.Driver.obbt in
-       if ob.Encoding.Encoder.probes > 0 then
-         Printf.printf
-           "obbt: %d probes (%d refined, %d failed, %d skipped by budget)\n"
-           ob.Encoding.Encoder.probes ob.Encoding.Encoder.refined
-           ob.Encoding.Encoder.failed ob.Encoding.Encoder.skipped_budget);
+  (* One deadline: the decision gets the whole budget first, the exact
+     maximisation only what it leaves. *)
+  let deadline = Linalg.Mclock.now () +. time_limit in
   let proof =
     Verify.Driver.prove_lateral_velocity_le ~time_limit ~cores ?portfolio
-      ~components ~bound_mode ~threshold ?certify_dir ~resume ~watchdog ?split
-      net box
+      ~components ~bound_mode ~threshold ?certify_dir ?split net box
   in
   (match proof.Verify.Driver.partition with
    | Some stats ->
@@ -415,21 +369,78 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
               proof.Verify.Driver.resumed
         | None -> ()));
   if proof.Verify.Driver.degraded > 0 then
-    Printf.printf "watchdog: %d fallback transition%s taken\n"
+    Printf.printf "fallback: %d numerical failure%s handed to the next rung\n"
       proof.Verify.Driver.degraded
       (if proof.Verify.Driver.degraded = 1 then "" else "s");
   (* Scriptable contract: 0 = Proved, 1 = Disproved, 2 = Unknown. *)
-  match proof.Verify.Driver.proof with
-  | Verify.Driver.Proved ->
-      Printf.printf "PROVED: lateral velocity <= %.2f m/s on the scenario\n"
-        threshold
-  | Verify.Driver.Disproved w ->
-      Printf.printf "UNSAFE: counterexample reaches %.3f m/s\n"
-        w.Verify.Driver.achieved;
-      exit 1
-  | Verify.Driver.Unknown { best_bound } ->
-      Printf.printf "UNKNOWN: bound %.3f after the time limit\n" best_bound;
-      exit 2
+  let code =
+    match proof.Verify.Driver.proof with
+    | Verify.Driver.Proved ->
+        Printf.printf "PROVED: lateral velocity <= %.2f m/s on the scenario\n"
+          threshold;
+        0
+    | Verify.Driver.Disproved w ->
+        Printf.printf "UNSAFE: counterexample reaches %.3f m/s\n"
+          w.Verify.Driver.achieved;
+        1
+    | Verify.Driver.Unknown { best_bound } ->
+        Printf.printf "UNKNOWN: bound %.3f after the time limit\n" best_bound;
+        2
+  in
+  let remaining = deadline -. Linalg.Mclock.now () in
+  (* A partitioned run is a decision query only. Below the driver's
+     minimum query slice (0.2 s) the maximisation's encoding and root
+     relaxations alone would overrun what is left. *)
+  (match split with
+   | Some _ ->
+       print_endline
+         "partitioned decision query: skipping the exact maximisation"
+   | None when remaining < 0.2 ->
+       Printf.printf
+         "exact maximisation skipped: %.2fs of the budget left\n"
+         (Float.max 0.0 remaining)
+   | None ->
+       let r =
+         Verify.Driver.max_lateral_velocity ~time_limit:remaining ~cores
+           ?portfolio ~components ~bound_mode net box
+       in
+       (match (r.Verify.Driver.value, r.Verify.Driver.optimal) with
+        | Some v, true ->
+            Printf.printf
+              "max lateral velocity with a vehicle on the left: %.6f m/s \
+               (exact)\n"
+              v
+        | Some v, false ->
+            Printf.printf
+              "best found %.6f m/s, proven bound %.6f (time limit hit)\n" v
+              r.Verify.Driver.upper_bound
+        | None, _ -> print_endline "n.a. (unable to find maximum)");
+       let st = r.Verify.Driver.encoder_stats in
+       Printf.printf
+         "encoding (%s, post-obbt): %d stable active, %d stable inactive, %d \
+          unstable; %d nodes, %.1fs\n"
+         (bound_mode_name bound_mode) st.Encoding.Encoder.stable_active
+         st.Encoding.Encoder.stable_inactive st.Encoding.Encoder.unstable
+         r.Verify.Driver.nodes r.Verify.Driver.elapsed;
+       Printf.printf "lp: %d rows x %d cols, %d nnz (density %.4f)\n"
+         st.Encoding.Encoder.rows st.Encoding.Encoder.cols
+         st.Encoding.Encoder.nnz st.Encoding.Encoder.density;
+       Printf.printf "per-component solve time:%s\n"
+         (String.concat ""
+            (Array.to_list
+               (Array.map (Printf.sprintf " %.2fs")
+                  r.Verify.Driver.component_elapsed)));
+       let ob = r.Verify.Driver.obbt in
+       if ob.Encoding.Encoder.probes > 0 then
+         Printf.printf
+           "obbt: %d probes (%d refined, %d failed, %d skipped by budget)\n"
+           ob.Encoding.Encoder.probes ob.Encoding.Encoder.refined
+           ob.Encoding.Encoder.failed ob.Encoding.Encoder.skipped_budget);
+  let fb = Lp.Simplex.sparse_fallbacks () in
+  if fb > 0 then
+    Printf.printf "lp: %d sparse solve%s fell back to the dense oracle\n" fb
+      (if fb = 1 then "" else "s");
+  if code <> 0 then exit code
 
 let certify_dir_arg =
   Arg.(
@@ -439,28 +450,12 @@ let certify_dir_arg =
         ~doc:
           "Write an auditable proof certificate per component plus a \
            crash-safe journal into $(docv); replay them independently \
-           with $(b,depnn audit). Forces deterministic re-encodable \
-           solves (no OBBT, sequential search).")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Skip components already settled in the $(b,--certify) \
-           directory's journal for the same network and property \
-           (survives kills: a torn journal line is ignored and the \
-           component re-proved).")
-
-let watchdog_arg =
-  Arg.(
-    value & flag
-    & info [ "watchdog" ]
-        ~doc:
-          "Run each component under its share of the deadline and \
-           degrade along a fallback ladder (symbolic-only, sparse \
-           MILP, dense MILP, honest unknown) instead of aborting the \
-           campaign on a timeout or numerical failure.")
+           with $(b,depnn audit). A re-run of the same question resumes \
+           from the journal: components already settled under the same \
+           network and property are skipped, anything else (a torn \
+           journal line, a damaged certificate) is re-proved. Forces \
+           deterministic re-encodable solves (no OBBT, sequential \
+           search).")
 
 let split_conv =
   let parse s =
@@ -498,7 +493,11 @@ let verify_cmd =
   in
   let time_limit =
     Arg.(value & opt float 60.0
-         & info [ "time-limit" ] ~docv:"S" ~doc:"Wall-clock budget in seconds.")
+         & info [ "time-limit" ] ~docv:"S"
+             ~doc:
+               "Wall-clock budget in seconds for the whole command: the \
+                decision query runs first, the exact maximisation gets \
+                what is left.")
   in
   let slack =
     Arg.(value & opt float 0.03
@@ -509,7 +508,7 @@ let verify_cmd =
        ~doc:"Formally verify the vehicle-on-left safety property (pillar B).")
     Term.(const verify $ net_arg $ threshold $ time_limit $ slack $ cores_arg
           $ portfolio_arg $ bound_mode_arg $ lp_core_arg $ certify_dir_arg
-          $ resume_arg $ watchdog_arg $ split_arg)
+          $ split_arg)
 
 (* {1 audit} *)
 

@@ -41,7 +41,8 @@ let locked t f =
    their own checksum (a torn tail parses to nothing), certificates
    their own; every certificate must speak about the same network and
    hash back to the directory's property hash. The last journal entry
-   per component wins, mirroring [Audit.run] and [--resume]. *)
+   per component wins, mirroring [Audit.run] and the driver's journal
+   resume. *)
 let recover_dir root name =
   let dir = Filename.concat root name in
   match Journal.load ~dir with

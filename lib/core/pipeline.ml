@@ -89,6 +89,9 @@ let run ?(progress = fun _ -> ()) config =
   let mcdc_measured = Coverage.Mcdc.measure net clean.Dataset.inputs in
   progress "pillar B: formal verification (vehicle-on-left scenario)";
   let scenario = Verify.Scenario.vehicle_on_left ~slack:config.scenario_slack () in
+  (* One budget for pillar B: the maximisation the guard envelope needs
+     runs first, the proof gets what it leaves. *)
+  let deadline = Linalg.Mclock.now () +. config.verify_time_limit in
   let verification =
     Verify.Driver.max_lateral_velocity ~time_limit:config.verify_time_limit
       ~cores:config.verify_cores ?portfolio:config.verify_portfolio
@@ -96,7 +99,8 @@ let run ?(progress = fun _ -> ()) config =
   in
   let proof =
     Verify.Driver.prove_lateral_velocity_le
-      ~time_limit:config.verify_time_limit ~cores:config.verify_cores
+      ~time_limit:(Float.max 0.0 (deadline -. Linalg.Mclock.now ()))
+      ~cores:config.verify_cores
       ?portfolio:config.verify_portfolio ~components:config.components
       ~threshold:config.threshold net scenario
   in

@@ -26,7 +26,9 @@ type config = {
   batch_size : int;
   scenario_slack : float;   (** verification box slack, normalised units *)
   threshold : float;        (** lateral velocity limit, m/s *)
-  verify_time_limit : float;  (** seconds, shared over GMM components *)
+  verify_time_limit : float;
+      (** seconds for pillar B as a whole: the exact maximisation runs
+          first, the decision query gets what it leaves *)
   verify_cores : int;  (** worker domains for OBBT + branch & bound *)
   verify_portfolio : (int * int) option;
       (** explicit diver:prover split for the MILP queries

@@ -270,8 +270,36 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
   done;
   ({ Bounds.pre; post }, stats)
 
+(* Exhausted budget still runs the round: every remaining probe then
+   reports [skipped_budget], so the caller can tell truncated OBBT apart
+   from OBBT that ran and failed. *)
+let tighten ?(rounds = 1) ?(budget = infinity) ?(cores = 1) ?lp_core t net
+    box =
+  let started = Linalg.Mclock.now () in
+  let acc = ref t.obbt in
+  let rec go rounds t =
+    if rounds <= 0 then t
+    else begin
+      let remaining = budget -. (Linalg.Mclock.now () -. started) in
+      let refined, stats =
+        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores ?lp_core t
+          net box
+      in
+      acc :=
+        {
+          probes = !acc.probes + stats.probes;
+          refined = !acc.refined + stats.refined;
+          failed = !acc.failed + stats.failed;
+          skipped_budget = !acc.skipped_budget + stats.skipped_budget;
+        };
+      go (rounds - 1) (build net box refined)
+    end
+  in
+  let t = go rounds t in
+  { t with obbt = !acc }
+
 let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
-    ?(tighten_budget = infinity) ?(cores = 1) ?lp_core net box =
+    ?tighten_budget ?cores ?lp_core net box =
   if Array.length box <> Nn.Network.input_dim net then
     invalid_arg "Encoder.encode: box dimension mismatch";
   let bounds =
@@ -289,31 +317,8 @@ let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
           invalid_arg "Encoder.encode: box exceeds the coarse radius";
         Bounds.coarse net ~radius
   in
-  let started = Linalg.Mclock.now () in
-  let acc = ref no_obbt in
-  (* Exhausted budget still runs the round: every remaining probe then
-     reports [skipped_budget], so the caller can tell truncated OBBT
-     apart from OBBT that ran and failed. *)
-  let rec tighten rounds t =
-    if rounds <= 0 then t
-    else begin
-      let remaining = tighten_budget -. (Linalg.Mclock.now () -. started) in
-      let refined, stats =
-        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores ?lp_core t
-          net box
-      in
-      acc :=
-        {
-          probes = !acc.probes + stats.probes;
-          refined = !acc.refined + stats.refined;
-          failed = !acc.failed + stats.failed;
-          skipped_budget = !acc.skipped_budget + stats.skipped_budget;
-        };
-      tighten (rounds - 1) (build net box refined)
-    end
-  in
-  let t = tighten tighten_rounds (build net box bounds) in
-  { t with obbt = !acc }
+  tighten ~rounds:tighten_rounds ?budget:tighten_budget ?cores ?lp_core
+    (build net box bounds) net box
 
 (* Objective terms maximising output coordinate [k]; pure data, meant to
    be passed per solve call ([Milp.Solver.solve ~objective]) so the

@@ -89,6 +89,22 @@ val encode :
     probing a private LP copy. [lp_core] selects the LP engine for the
     OBBT probes (default {!Lp.Simplex.default_core}). *)
 
+val tighten :
+  ?rounds:int ->
+  ?budget:float ->
+  ?cores:int ->
+  ?lp_core:Lp.Simplex.core ->
+  t ->
+  Nn.Network.t ->
+  Interval.Box.box ->
+  t
+(** [tighten t net box] applies [rounds] (default 1) rounds of OBBT to
+    an existing encoding of [net] over [box] — what {!encode} does with
+    [tighten_rounds] after building round 0, so a caller that already
+    holds the round-0 encoding need not build it twice. [budget],
+    [cores] and [lp_core] are [encode]'s [tighten_budget], [cores] and
+    [lp_core]; [obbt] accumulates onto [t]'s. [t] is not mutated. *)
+
 val output_objective : t -> int -> (Milp.Model.var * float) list
 (** [output_objective enc k] is the objective maximising output
     coordinate [k], as terms for [Milp.Solver.solve ~objective] (or

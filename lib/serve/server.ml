@@ -266,10 +266,10 @@ let handle_job t session job =
          duplicate work (O_APPEND journal, unique temp names), never
          corrupt it. *)
       let r =
-        Verify.Driver.prove_in_session session ~time_limit ~bound_mode
-          ~certify_dir:dir ~resume:true ~watchdog:true ?split:t.config.split
-          ~store:t.store ~components:p.Certify.Certificate.components
-          ~threshold:p.Certify.Certificate.threshold (box_of p)
+        Verify.Driver.prove_lateral_velocity_le ~session ~time_limit
+          ~bound_mode ~certify_dir:dir ?split:t.config.split ~store:t.store
+          ~components:p.Certify.Certificate.components
+          ~threshold:p.Certify.Certificate.threshold t.net (box_of p)
       in
       let solve_s = Linalg.Mclock.now () -. started in
       Atomic.incr t.solved;
@@ -546,7 +546,7 @@ let run ?(worker_hook = fun _ -> ()) config net =
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
    done);
   (* Graceful drain: stop accepting, let the pool finish everything
-     already queued (each query under its own watchdogged budget), then
+     already queued (each query under its own time limit), then
      join. Anything still queued after the join means every worker died
      mid-drain — those clients still get a clean error. *)
   let pending = Bqueue.depth t.queue in

@@ -22,14 +22,13 @@
       in-flight client receives a clean protocol error first;
     - SIGINT/SIGTERM (when [handle_signals]) or a [shutdown] request
       drain the queue: in-flight and queued queries finish — each under
-      its own watchdogged time limit, so the worst case is an honest
-      [unknown] — then workers are joined, the socket is closed and
-      unlinked, and {!run} returns;
+      its own time limit, with numerical failures turned into an
+      honest [unknown] by the driver's ladder — then workers are
+      joined, the socket is closed and unlinked, and {!run} returns;
     - every solved query is certified into the store's directory for
-      that property hash with [resume] enabled, so a server killed
-      mid-solve loses at most the component in flight and the next
-      miss on that key resumes from the journal instead of starting
-      over. *)
+      that property hash, so a server killed mid-solve loses at most
+      the component in flight and the next miss on that key resumes
+      from the journal instead of starting over. *)
 
 type config = {
   address : Protocol.address;

@@ -213,107 +213,27 @@ type proof_result = {
   partition : Partition.stats option;
 }
 
-(* The legacy uncertified prover: parallel/portfolio solves, OBBT
-   allowed, nothing written to disk. *)
-let prove_plain ~time_limit ~bound_mode ~tighten_rounds ~cores ~portfolio
-    ~warm ~lp_core ~components ~threshold net box =
-  (* Same budget contract as [maximize_outputs]: OBBT spends from the
-     global limit, the remainder is re-split before each query. *)
-  let started = Linalg.Mclock.now () in
-  let deadline = started +. time_limit in
-  let enc =
-    Encoding.Encoder.encode ~bound_mode ~tighten_rounds
-      ~tighten_budget:(0.5 *. time_limit) ~cores ?lp_core net box
-  in
-  let priority = Encoding.Encoder.layer_order_priority enc in
-  let nodes = ref 0 in
-  (* Incomplete pre-pass: a component whose analysis upper bound already
-     meets the threshold is discharged with zero search nodes. Under
-     [Symbolic_bounds] this alone often proves the property — the MILP
-     machinery below then never runs. *)
-  let discharged, pending =
-    List.partition
-      (fun k ->
-        output_upper enc (Nn.Gmm.mu_lat_index ~components k) <= threshold)
-      (List.init components Fun.id)
-  in
-  let presolved = List.length discharged in
-  let presolved_bound =
-    List.fold_left
-      (fun acc k ->
-        Float.max acc (output_upper enc (Nn.Gmm.mu_lat_index ~components k)))
-      neg_infinity discharged
-  in
-  let rec prove queue worst_bound =
-    match queue with
-    | [] ->
-        if worst_bound <= threshold then Proved
-        else Unknown { best_bound = worst_bound }
-    | k :: rest ->
-        let output = Nn.Gmm.mu_lat_index ~components k in
-        let per_query_limit =
-          budget_slice ~deadline ~queue_len:(List.length queue) ()
-        in
-        let r =
-          Milp.Parallel.solve ~cores ?portfolio ~time_limit:per_query_limit
-            ~cutoff:threshold ~branch_rule:(Milp.Solver.Priority priority)
-            ?node_bound:(node_bound_for ~bound_mode enc net box ~output)
-            ~objective:(Encoding.Encoder.output_objective enc output)
-            ~warm ?lp_core enc.Encoding.Encoder.model
-        in
-        nodes := !nodes + r.Milp.Solver.nodes;
-        (match r.Milp.Solver.incumbent with
-         | Some (solution, _) ->
-             (* A feasible point above the cutoff refutes the property. *)
-             Disproved
-               (witness_of_solution enc net ~component:k ~output_index:output
-                  solution)
-         | None -> (
-             match r.Milp.Solver.outcome with
-             | Milp.Solver.Optimal ->
-                 prove rest (Float.max worst_bound threshold)
-             | Milp.Solver.Time_limit | Milp.Solver.Node_limit
-             | Milp.Solver.Infeasible ->
-                 prove rest
-                   (Float.max worst_bound
-                      (Float.min r.Milp.Solver.best_bound
-                         (output_upper enc output)))))
-  in
-  let proof = prove pending presolved_bound in
-  {
-    proof;
-    proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved;
-    certified = 0;
-    resumed = 0;
-    degraded = 0;
-    partition = None;
-  }
-
 (* {2 Sessions}
 
    One-time per-model state for callers that issue many queries against
    the same loaded network (the [depnn serve] workers, campaign
    scripts). Two things are hoisted out of the per-call path:
 
-   - the network's content hash, which [prove_certified] previously
-     recomputed on every call even though it can only change when the
-     model file is reloaded;
-   - the deterministic [tighten_rounds = 0] encoding of the most recent
-     (bound mode, box, lp core) question, so back-to-back queries over
-     the same box — different thresholds, a server's cache-miss burst —
-     skip the encoder entirely. The memo is sound because the certified
-     path never applies OBBT (the encoding depends only on the key) and
-     the solver copies the LP before mutating it.
+   - the network's content hash, which can only change when the model
+     file is reloaded;
+   - the round-0 (no OBBT) encoding of the most recent monolithic
+     question, so back-to-back queries over the same box — different
+     thresholds, a server's cache-miss burst — skip the encoder. The
+     memo is sound because that encoding depends only on the key, OBBT
+     builds a new encoding rather than mutating it, and the solver
+     copies the LP before mutating it.
 
    A session is single-domain state: give each worker its own. *)
 type session = {
   session_net : Nn.Network.t;
   session_net_hash : string;
   mutable session_enc :
-    ((Encoding.Encoder.bound_mode * float array * float array
-     * Lp.Simplex.core option)
+    ((Encoding.Encoder.bound_mode * float array * float array)
     * Encoding.Encoder.t)
     option;
 }
@@ -328,19 +248,15 @@ let create_session net =
 let session_net s = s.session_net
 let session_net_hash s = s.session_net_hash
 
-let session_encode session ~bound_mode ~cores ?lp_core net box =
-  let fresh () =
-    Encoding.Encoder.encode ~bound_mode ~tighten_rounds:0 ~cores ?lp_core net
-      box
-  in
+let encode_round0 session ~bound_mode net box =
+  let fresh () = Encoding.Encoder.encode ~bound_mode net box in
   match session with
   | None -> fresh ()
   | Some s -> (
       let key =
         ( bound_mode,
           Array.map (fun (iv : Interval.t) -> iv.Interval.lo) box,
-          Array.map (fun (iv : Interval.t) -> iv.Interval.hi) box,
-          lp_core )
+          Array.map (fun (iv : Interval.t) -> iv.Interval.hi) box )
       in
       match s.session_enc with
       | Some (k, enc) when k = key -> enc
@@ -349,695 +265,583 @@ let session_encode session ~bound_mode ~cores ?lp_core net box =
           s.session_enc <- Some (key, enc);
           enc)
 
-(* The certifying / watchdogged prover. One component at a time,
-   sequentially:
+(* Journal entries from a previous run of the {e same} question (network
+   hash and property hash both match) whose certificate still parses;
+   anything else is re-proved, never trusted. *)
+let settled_components ~dir ~net_hash ~prop_hash =
+  let settled = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Certify.Journal.entry) ->
+      if e.Certify.Journal.net_hash = net_hash
+         && e.Certify.Journal.prop_hash = prop_hash
+      then
+        match (e.Certify.Journal.verdict, e.Certify.Journal.cert_file) with
+        | ("proved" | "disproved"), Some name -> (
+            match Certify.Journal.read_cert ~dir ~name with
+            | Error _ -> ()
+            | Ok blob -> (
+                match Certify.Certificate.of_string blob with
+                | Ok cert
+                  when cert.Certify.Certificate.component
+                       = e.Certify.Journal.component ->
+                    Hashtbl.replace settled e.Certify.Journal.component
+                      (e.Certify.Journal.verdict, cert)
+                | Ok _ | Error _ -> ()))
+        | _ -> () (* an unknown is not settled: try again *))
+    (Certify.Journal.load ~dir);
+  settled
 
-   - with a certification directory, every settled component leaves a
-     replayable certificate (self-checked through the same
-     {!Certify.Audit} replay the independent audit runs) plus a
-     checksummed, fsynced journal line — so a kill at any instant
-     loses at most the component in flight, and [resume] skips the
-     settled ones;
-   - with the watchdog, each component runs under its share of the
-     deadline and degrades along a fallback ladder — symbolic-only
-     presolve, sparse MILP, dense MILP, honest Unknown — catching
-     numerical failures per rung instead of aborting the campaign.
+(* Which rung settled a leaf — the partition accounting. *)
+type rung = Cached | Revalidated | Presolved | Solved | Unsettled
 
-   Certificates must be independently rebuildable, so this path forces
-   [tighten_rounds = 0] (an OBBT-tightened model embeds thousands of
-   LP conclusions the checker would have to take on faith) and solves
-   sequentially without analysis node bounds (prunes against a bound
-   the certificate cannot replay would be [Leaf_uncertified]). *)
-let prove_certified ?session ~time_limit ~bound_mode ~cores ~warm ~lp_core
-    ~certify_dir ~resume ~watchdog ~components ~threshold net box =
+(* The decision query. Every question is a plan of leaves — one leaf
+   (the box itself, [Partition.plan] never called) unless [split] — and
+   every leaf goes down one settle ladder, cheapest rung first:
+
+   1. proof-store probe for this network (exact or subsumed) — O(1), no
+      solver;
+   2. cross-network revalidation: an entry answering the same leaf
+      question about different weights is never served as-is, but its
+      disproving witness replays through the current network with one
+      forward pass (a proved entry revalidates through rung 4: the
+      fresh symbolic bound of the current network, counted as
+      revalidated rather than presolved);
+   3. the leaf directory's journal: components a previous run of the
+      same question settled with a certificate that still parses;
+   4. the analysis pre-pass on the untightened encoding — then, in a
+      run that keeps no evidence, OBBT on that same build for the
+      components still pending, and the pre-pass again on the
+      tightened bound;
+   5. a cutoff MILP per pending component under a rolled-forward slice
+      of the whole-call deadline, on the requested LP core and then on
+      the dense one: only a rung that {e raises} hands over to the next
+      (a timeout ends the ladder with the tightest sound bound seen),
+      and a leaf whose every core raised ends in an honest Unknown.
+
+   Rungs 1–2 need a proof store, which only a split brings; rung 3
+   needs a leaf directory. One disproved leaf disproves the parent (its
+   witness lies inside the leaf box, hence inside the parent box) and
+   stops the campaign. *)
+let prove_lateral_velocity_le ?(time_limit = 60.0)
+    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
+    ?(cores = 1) ?portfolio ?(warm = true) ?lp_core ?certify_dir ?split ?store
+    ?session ~components ~threshold net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
-  let enc = session_encode session ~bound_mode ~cores ?lp_core net box in
-  let priority = Encoding.Encoder.layer_order_priority enc in
   let net_hash =
-    match session with
-    | Some s -> s.session_net_hash
-    | None -> Nn.Io.content_hash net
+    lazy
+      (match session with
+       | Some s -> s.session_net_hash
+       | None -> Nn.Io.content_hash net)
   in
-  let property =
+  let output k = Nn.Gmm.mu_lat_index ~components k in
+  let property_of (b : Interval.Box.box) =
     {
       Certify.Certificate.threshold;
       components;
       bound_mode = Certify.Checker.mode_string bound_mode;
-      box = Array.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) box;
-    }
-  in
-  let prop_hash = Certify.Certificate.property_hash ~net_hash property in
-  Option.iter Certify.Journal.init certify_dir;
-  let nodes = ref 0 in
-  let certified = ref 0 and resumed = ref 0 and degraded = ref 0 in
-  let presolved = ref 0 in
-  (* Journal entries from a previous run of the {e same} question
-     (network hash and property hash both match) whose certificate
-     still parses; anything else is re-proved, never trusted. *)
-  let settled = Hashtbl.create 8 in
-  (match certify_dir with
-   | Some dir when resume ->
-       List.iter
-         (fun (e : Certify.Journal.entry) ->
-           if e.Certify.Journal.net_hash = net_hash
-              && e.Certify.Journal.prop_hash = prop_hash
-           then
-             match e.Certify.Journal.verdict with
-             | "proved" | "disproved" -> (
-                 match e.Certify.Journal.cert_file with
-                 | None -> ()
-                 | Some name -> (
-                     match Certify.Journal.read_cert ~dir ~name with
-                     | Error _ -> ()
-                     | Ok blob -> (
-                         match Certify.Certificate.of_string blob with
-                         | Ok cert
-                           when cert.Certify.Certificate.component
-                                = e.Certify.Journal.component ->
-                             Hashtbl.replace settled
-                               e.Certify.Journal.component
-                               (e.Certify.Journal.verdict, cert)
-                         | Ok _ | Error _ -> ())))
-             | _ -> () (* an unknown is not settled: try again *))
-         (Certify.Journal.load ~dir)
-   | _ -> ());
-  (* Returns whether the certificate replayed (always [true] without a
-     certification directory, where nothing is emitted). *)
-  let emit k verdict body =
-    match certify_dir with
-    | None -> true
-    | Some dir ->
-        let cert =
-          {
-            Certify.Certificate.net_hash;
-            property;
-            component = k;
-            output = Nn.Gmm.mu_lat_index ~components k;
-            body;
-          }
-        in
-        (* Self-check through the exact replay the independent audit
-           runs: a certificate that would not survive the audit is
-           still written (the rejection stays explainable) but is
-           journaled as [unknown] — neither a resume nor the serve
-           cache may ever trust a verdict whose own evidence does not
-           replay. *)
-        let audited =
-          match Certify.Audit.check_certificate net cert with
-          | Ok _ ->
-              incr certified;
-              true
-          | Error _ -> false
-        in
-        let name = Printf.sprintf "component-%d.cert" k in
-        Certify.Journal.write_cert ~dir ~name
-          (Certify.Certificate.to_string cert);
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = k;
-            verdict = (if audited then verdict else "unknown");
-            cert_file = Some name;
-            net_hash;
-            prop_hash;
-          };
-        audited
-  in
-  let journal_unknown k =
-    Option.iter
-      (fun dir ->
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = k;
-            verdict = "unknown";
-            cert_file = None;
-            net_hash;
-            prop_hash;
-          })
-      certify_dir
-  in
-  (* The symbolic upper bounding form is only built when some component
-     is actually discharged by presolve. *)
-  let symbolic = lazy (Absint.Symbolic.propagate net box) in
-  let model_hash =
-    lazy (Certify.Certificate.model_fingerprint enc.Encoding.Encoder.model)
-  in
-  (* One rung of the fallback ladder: a sequential, leaf-streaming
-     decision solve when certificates are wanted; the parallel solver
-     otherwise. *)
-  let run_rung ~rung_core ~rung_limit ~output k =
-    if certify_dir <> None then begin
-      let leaves = ref [] in
-      let on_leaf fixes cert =
-        let evidence =
-          match cert with
-          | Milp.Solver.Leaf_bounded y -> Certify.Certificate.Ev_bounded y
-          | Milp.Solver.Leaf_infeasible y ->
-              Certify.Certificate.Ev_infeasible y
-          | Milp.Solver.Leaf_empty_row i -> Certify.Certificate.Ev_empty_row i
-          | Milp.Solver.Leaf_uncertified reason ->
-              Certify.Certificate.Ev_unsupported reason
-        in
-        leaves :=
-          { Certify.Certificate.fixes = Array.of_list (List.rev fixes);
-            evidence }
-          :: !leaves
-      in
-      let r =
-        Milp.Solver.solve ~time_limit:rung_limit ~cutoff:threshold
-          ~branch_rule:(Milp.Solver.Priority priority)
-          ~objective:(Encoding.Encoder.output_objective enc output)
-          ~warm ?lp_core:rung_core ~on_leaf enc.Encoding.Encoder.model
-      in
-      (r, Array.of_list (List.rev !leaves))
-    end
-    else begin
-      ignore k;
-      let r =
-        Milp.Parallel.solve ~cores ~time_limit:rung_limit ~cutoff:threshold
-          ~branch_rule:(Milp.Solver.Priority priority)
-          ~objective:(Encoding.Encoder.output_objective enc output)
-          ~warm ?lp_core:rung_core enc.Encoding.Encoder.model
-      in
-      (r, [||])
-    end
-  in
-  let rec settle queue worst_bound =
-    match queue with
-    | [] ->
-        if worst_bound <= threshold then Proved
-        else Unknown { best_bound = worst_bound }
-    | k :: rest -> (
-        let output = Nn.Gmm.mu_lat_index ~components k in
-        match Hashtbl.find_opt settled k with
-        | Some ("proved", _) ->
-            incr resumed;
-            settle rest (Float.max worst_bound threshold)
-        | Some
-            ( "disproved",
-              { Certify.Certificate.body =
-                  Certify.Certificate.Witness { input; achieved = _ };
-                _ } ) ->
-            incr resumed;
-            let outputs = Nn.Network.forward net input in
-            Disproved
-              { input; outputs; achieved = outputs.(output); component = k }
-        | Some _ | None ->
-            let analysis_ub = output_upper enc output in
-            let discharged =
-              analysis_ub <= threshold
-              && (certify_dir = None
-                 ||
-                 (* Symbolic-only rung: free, and certifiable from the
-                    analysis's own bounding hyperplane — but only if
-                    that hyperplane survives the audit's outward-rounded
-                    replay. A marginal bound (analysis says [<=], the
-                    replay says [>]) must not settle the component on
-                    unreplayable evidence: it falls through to the MILP
-                    ladder, whose tree certificate replays leaf by
-                    leaf. *)
-                 let coeffs, const =
-                   Absint.Symbolic.output_upper_form (Lazy.force symbolic)
-                     net ~output
-                 in
-                 emit k "proved"
-                   (Certify.Certificate.Presolve
-                      { coeffs; const; bound = analysis_ub }))
-            in
-            if discharged then begin
-              incr presolved;
-              settle rest (Float.max worst_bound analysis_ub)
-            end
-            else begin
-              let share =
-                budget_slice ~deadline ~queue_len:(List.length queue) ()
-              in
-              let share_end = Linalg.Mclock.now () +. share in
-              let rungs =
-                if watchdog then
-                  [ Some Lp.Simplex.Sparse; Some Lp.Simplex.Dense ]
-                else [ lp_core ]
-              in
-              let nrungs = List.length rungs in
-              let rec ladder i = function
-                | [] -> `Exhausted
-                | rung_core :: lower ->
-                    let rung_limit =
-                      if i = nrungs - 1 then
-                        Float.max 0.0 (share_end -. Linalg.Mclock.now ())
-                      else 0.6 *. share
-                    in
-                    let attempt =
-                      if watchdog then (
-                        try Some (run_rung ~rung_core ~rung_limit ~output k)
-                        with Lp.Simplex.Numerical_error _ | Failure _ ->
-                          None)
-                      else Some (run_rung ~rung_core ~rung_limit ~output k)
-                    in
-                    (match attempt with
-                     | None ->
-                         incr degraded;
-                         ladder (i + 1) lower
-                     | Some (r, leaves) -> (
-                         nodes := !nodes + r.Milp.Solver.nodes;
-                         match r.Milp.Solver.incumbent with
-                         | Some (solution, _) -> `Disproved solution
-                         | None -> (
-                             match r.Milp.Solver.outcome with
-                             | Milp.Solver.Optimal -> `Proved leaves
-                             | Milp.Solver.Time_limit | Milp.Solver.Node_limit
-                             | Milp.Solver.Infeasible ->
-                                 let bound =
-                                   Float.min r.Milp.Solver.best_bound
-                                     analysis_ub
-                                 in
-                                 if lower = [] then `Bound bound
-                                 else begin
-                                   incr degraded;
-                                   ladder (i + 1) lower
-                                 end)))
-              in
-              match ladder 0 rungs with
-              | `Proved leaves ->
-                  ignore
-                    (emit k "proved"
-                       (Certify.Certificate.Milp_tree
-                          { model_hash = Lazy.force model_hash; leaves })
-                      : bool);
-                  settle rest (Float.max worst_bound threshold)
-              | `Disproved solution ->
-                  let witness =
-                    witness_of_solution enc net ~component:k
-                      ~output_index:output solution
-                  in
-                  ignore
-                    (emit k "disproved"
-                       (Certify.Certificate.Witness
-                          {
-                            input = witness.input;
-                            achieved = witness.achieved;
-                          })
-                      : bool);
-                  Disproved witness
-              | `Bound b ->
-                  journal_unknown k;
-                  settle rest (Float.max worst_bound b)
-              | `Exhausted ->
-                  journal_unknown k;
-                  settle rest (Float.max worst_bound analysis_ub)
-            end)
-  in
-  let proof = settle (List.init components Fun.id) neg_infinity in
-  {
-    proof;
-    proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved = !presolved;
-    certified = !certified;
-    resumed = !resumed;
-    degraded = !degraded;
-    partition = None;
-  }
-
-(* --- input-space partition-and-conquer ------------------------------
-
-   The plan ({!Partition.plan}) bisects the box along the most
-   influential input dimensions; every leaf then goes down a pipeline
-   ordered cheapest-first:
-
-   1. proof-store lookup for this network (exact or subsumed) — O(1),
-      no solver;
-   2. cross-network revalidation: an entry answering the *same* leaf
-      question about different weights is never served as-is, but its
-      disproving witness replays through the current network with one
-      forward pass — this is what makes re-verification after a
-      retrain or one-weight perturbation mostly-O(1). (A proved entry
-      revalidates through step 3: the fresh symbolic bound of the
-      *current* network; the stats then count the leaf as revalidated
-      rather than presolved.)
-   3. the symbolic pre-pass on the leaf box;
-   4. a MILP solve of the leaf box under a rolled-forward slice of the
-      whole-call budget.
-
-   With a shard root (an explicit store, or an implicit one opened on
-   the certification directory) every leaf settles into its own
-   hash-named certification directory, recorded into the store as it
-   lands, and a checksummed {!Certify.Shard} manifest pins the split
-   tree — so [depnn audit] re-establishes both the leaf verdicts and
-   the tiling geometry. One disproved leaf disproves the parent (its
-   witness lies inside the leaf box, hence inside the parent box) and
-   stops the campaign; in the plain-mode fan-out the leaves share that
-   incumbent through one atomic checked before each solve. *)
-let prove_partitioned ?session ~time_limit ~bound_mode ~cores ~portfolio
-    ~warm ~lp_core ~certify_dir ~store ~watchdog ~policy ~components
-    ~threshold net box =
-  let started = Linalg.Mclock.now () in
-  let deadline = started +. time_limit in
-  let net_hash =
-    match session with
-    | Some s -> s.session_net_hash
-    | None -> Nn.Io.content_hash net
-  in
-  let store =
-    match (store, certify_dir) with
-    | (Some _ as s), _ -> s
-    | None, Some dir -> Some (Certify.Store.open_ ~dir)
-    | None, None -> None
-  in
-  let shard_root =
-    match store with Some s -> Some (Certify.Store.root s) | None -> None
-  in
-  let mode = Certify.Checker.mode_string bound_mode in
-  let property_of (lbox : Interval.Box.box) =
-    {
-      Certify.Certificate.threshold;
-      components;
-      bound_mode = mode;
       box =
-        Array.map
-          (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi))
-          lbox;
+        Array.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) b;
     }
   in
-  (* Planning is cheap symbolic work, but it must never starve the
-     solves it feeds: a quarter of the budget at most. *)
+  (* A monolithic question's leaf directory is [certify_dir] itself, so
+     its layout (certificates and journal directly in the directory) is
+     what [Certify.Audit.run] reads. A split adds the proof store
+     (explicit, or opened on [certify_dir]), hash-named leaf
+     directories under its root and the shard manifest. *)
+  let store =
+    match (split, store, certify_dir) with
+    | None, _, _ -> None
+    | Some _, (Some _ as s), _ -> s
+    | Some _, None, Some dir -> Some (Certify.Store.open_ ~dir)
+    | Some _, None, None -> None
+  in
+  (* The one rule behind every remaining difference between runs: does
+     this run keep replayable evidence? If it does, it solves only what
+     a certificate can replay — no OBBT (a tightened model embeds
+     thousands of LP conclusions the checker would have to take on
+     faith), no analysis node-bound hook (its prunes would be
+     [Leaf_uncertified]) and a sequential, leaf-streaming search. If it
+     does not, OBBT, the node-bound hook, parallel and portfolio search
+     and the parallel leaf fan-out all stay on. *)
+  let evidence =
+    match split with None -> certify_dir <> None | Some _ -> store <> None
+  in
+  (* OBBT per partition leaf would dominate many small boxes: the
+     symbolic pre-pass is what a split relies on. *)
+  let tighten_rounds = if split = None then tighten_rounds else 0 in
   let plan =
-    Partition.plan ~policy ~deadline:(started +. (0.25 *. time_limit))
-      ~components ~threshold net box
+    match split with
+    | None ->
+        {
+          Partition.tree = Certify.Shard.Tile;
+          boxes = [| box |];
+          upper = [| infinity |];
+          plan_depth = 0;
+        }
+    | Some policy ->
+        (* Planning is cheap symbolic work, but it must never starve the
+           solves it feeds: a quarter of the budget at most. *)
+        Partition.plan ~policy ~deadline:(started +. (0.25 *. time_limit))
+          ~components ~threshold net box
   in
   let n = Array.length plan.Partition.boxes in
   let leaf_props = Array.map property_of plan.Partition.boxes in
   let leaf_hashes =
-    Array.map (Certify.Certificate.property_hash ~net_hash) leaf_props
+    lazy
+      (Array.map
+         (Certify.Certificate.property_hash ~net_hash:(Lazy.force net_hash))
+         leaf_props)
+  in
+  let leaf_dir idx =
+    match (split, store) with
+    | None, _ -> certify_dir
+    | Some _, Some s ->
+        Some
+          (Filename.concat (Certify.Store.root s)
+             (Lazy.force leaf_hashes).(idx))
+    | Some _, None -> None
   in
   (* The manifest goes down before any leaf is attempted: a killed
      campaign still audits (to Unknown), and a re-run of the same
      question overwrites it with identical bytes. *)
-  (match shard_root with
-   | None -> ()
-   | Some root ->
-       let parent_hash =
-         Certify.Certificate.property_hash ~net_hash (property_of box)
-       in
-       Certify.Journal.write_cert ~dir:root
-         ~name:(Certify.Shard.manifest_name ~prop_hash:parent_hash)
-         (Certify.Shard.to_string
-            {
-              Certify.Shard.net_hash;
-              property = property_of box;
-              tree = plan.Partition.tree;
-              leaf_hashes;
-            }));
-  let cached = ref 0 and revalidated = ref 0 and presolved_leaves = ref 0 in
-  let solved = ref 0 and unsettled = ref 0 in
-  let nodes = ref 0 and presolved_components = ref 0 in
-  let certified = ref 0 and resumed = ref 0 and degraded = ref 0 in
-  let worst = ref neg_infinity in
-  let disproof = ref None in
-  let best_component outputs =
-    let k = ref 0 and v = ref neg_infinity in
-    for c = 0 to components - 1 do
-      let x = outputs.(Nn.Gmm.mu_lat_index ~components c) in
-      if x > !v then begin
-        v := x;
-        k := c
-      end
-    done;
-    (!k, !v)
-  in
+  Option.iter
+    (fun s ->
+      let net_hash = Lazy.force net_hash and parent = property_of box in
+      Certify.Journal.write_cert ~dir:(Certify.Store.root s)
+        ~name:
+          (Certify.Shard.manifest_name
+             ~prop_hash:(Certify.Certificate.property_hash ~net_hash parent))
+        (Certify.Shard.to_string
+           {
+             Certify.Shard.net_hash;
+             property = parent;
+             tree = plan.Partition.tree;
+             leaf_hashes = Lazy.force leaf_hashes;
+           }))
+    store;
   let witness_of_input input =
     let outputs = Nn.Network.forward net input in
-    let component, achieved = best_component outputs in
-    { input; outputs; achieved; component }
+    let component = ref 0 in
+    for c = 1 to components - 1 do
+      if outputs.(output c) > outputs.(output !component) then component := c
+    done;
+    let component = !component in
+    { input; outputs; achieved = outputs.(output component); component }
   in
-  (* A revalidated disproof still leaves a full audit trail: the
-     witness certificate is self-checked through the same replay the
-     independent audit runs and journaled into the leaf's directory, so
-     the shard audit and the store both confirm it without ever
-     trusting the foreign entry it came from. *)
-  let emit_witness_cert ~dir ~lprop ~lhash (w : witness) =
-    let cert =
-      {
-        Certify.Certificate.net_hash;
-        property = lprop;
-        component = w.component;
-        output = Nn.Gmm.mu_lat_index ~components w.component;
-        body =
-          Certify.Certificate.Witness
-            { input = w.input; achieved = w.achieved };
-      }
+  (* The LP cores of rung 5, in order. *)
+  let cores_ladder =
+    match Option.value lp_core ~default:(Lp.Simplex.default_core ()) with
+    | Lp.Simplex.Dense -> [ Lp.Simplex.Dense ]
+    | first -> [ first; Lp.Simplex.Dense ]
+  in
+  let settle_leaf ~cores ~portfolio ~slice idx =
+    let leaf_started = Linalg.Mclock.now () in
+    let leaf_deadline = leaf_started +. slice in
+    let lbox = plan.Partition.boxes.(idx) in
+    let upper = plan.Partition.upper.(idx) in
+    let dir = leaf_dir idx in
+    let nodes = ref 0 and presolved = ref 0 and certified = ref 0 in
+    let resumed = ref 0 and degraded = ref 0 in
+    let finish rung proof =
+      ( rung,
+        {
+          proof;
+          proof_elapsed = Linalg.Mclock.now () -. leaf_started;
+          proof_nodes = !nodes;
+          presolved = !presolved;
+          certified = !certified;
+          resumed = !resumed;
+          degraded = !degraded;
+          partition = None;
+        } )
     in
-    match Certify.Audit.check_certificate net cert with
-    | Error _ -> false
-    | Ok _ ->
-        Certify.Journal.init dir;
-        let name = Printf.sprintf "component-%d.cert" w.component in
-        Certify.Journal.write_cert ~dir ~name
-          (Certify.Certificate.to_string cert);
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = w.component;
-            verdict = "disproved";
-            cert_file = Some name;
-            net_hash;
-            prop_hash = lhash;
-          };
-        incr certified;
-        true
+    let journal ~dir k verdict cert_file =
+      Certify.Journal.append ~dir
+        {
+          Certify.Journal.component = k;
+          verdict;
+          cert_file;
+          net_hash = Lazy.force net_hash;
+          prop_hash = (Lazy.force leaf_hashes).(idx);
+        }
+    in
+    (* Self-check through the exact replay the independent audit runs: a
+       certificate that would not survive the audit is still written
+       (the rejection stays explainable) but is journaled as [unknown] —
+       neither a resume nor the proof store may ever trust a verdict
+       whose own evidence does not replay. Returns whether it replayed. *)
+    let emit ~dir k verdict body =
+      let cert =
+        {
+          Certify.Certificate.net_hash = Lazy.force net_hash;
+          property = leaf_props.(idx);
+          component = k;
+          output = output k;
+          body;
+        }
+      in
+      let audited = Result.is_ok (Certify.Audit.check_certificate net cert) in
+      if audited then incr certified;
+      let name = Printf.sprintf "component-%d.cert" k in
+      Certify.Journal.write_cert ~dir ~name
+        (Certify.Certificate.to_string cert);
+      journal ~dir k (if audited then verdict else "unknown") (Some name);
+      audited
+    in
+    let emit_witness ~dir (w : witness) =
+      emit ~dir w.component "disproved"
+        (Certify.Certificate.Witness { input = w.input; achieved = w.achieved })
+    in
+    (* Rungs 1–2. *)
+    let probe =
+      match store with
+      | None -> `Miss false
+      | Some s -> (
+          let net_hash = Lazy.force net_hash and lprop = leaf_props.(idx) in
+          match Certify.Store.lookup s ~net_hash lprop with
+          | Some { Certify.Store.entry; _ } -> (
+              match entry.Certify.Store.verdict with
+              | Certify.Store.Proved -> `Settled (Cached, Proved)
+              | Certify.Store.Disproved { witness; _ } ->
+                  `Settled (Cached, Disproved (witness_of_input witness)))
+          | None -> (
+              let candidates =
+                Certify.Store.revalidation_candidates s ~net_hash lprop
+              in
+              let replayed =
+                List.find_map
+                  (fun (e : Certify.Store.entry) ->
+                    match e.Certify.Store.verdict with
+                    | Certify.Store.Disproved { witness = input; _ }
+                      when Interval.Box.contains lbox input ->
+                        let w = witness_of_input input in
+                        if w.achieved > threshold then Some w else None
+                    | _ -> None)
+                  candidates
+              in
+              let dir = Option.get dir in
+              match replayed with
+              | Some w when (Certify.Journal.init dir; emit_witness ~dir w) ->
+                  ignore (Certify.Store.record s ~net_hash lprop);
+                  `Settled (Revalidated, Disproved w)
+              | _ ->
+                  `Miss
+                    (List.exists
+                       (fun (e : Certify.Store.entry) ->
+                         e.Certify.Store.verdict = Certify.Store.Proved)
+                       candidates)))
+    in
+    match probe with
+    | `Settled (rung, proof) -> finish rung proof
+    | `Miss _ when dir = None && upper <= threshold ->
+        (* The plan's own symbolic bound discharges the leaf: nothing to
+           encode when no certificate is wanted. *)
+        presolved := components;
+        finish Presolved Proved
+    | `Miss _
+      when split <> None && Linalg.Mclock.now () >= deadline
+           && upper > threshold ->
+        (* Out of budget: an honest unattempted Unknown — paying the leaf
+           encoding would overrun the whole-call deadline. *)
+        finish Unsettled (Unknown { best_bound = upper })
+    | `Miss had_candidate ->
+        let enc0 =
+          encode_round0
+            (if split = None then session else None)
+            ~bound_mode net lbox
+        in
+        (* Rung 3. *)
+        let settled =
+          match dir with
+          | None -> Hashtbl.create 0
+          | Some dir ->
+              Certify.Journal.init dir;
+              settled_components ~dir ~net_hash:(Lazy.force net_hash)
+                ~prop_hash:(Lazy.force leaf_hashes).(idx)
+        in
+        let worst = ref neg_infinity and disproof = ref None in
+        let todo =
+          List.filter
+            (fun k ->
+              match Hashtbl.find_opt settled k with
+              | Some ("proved", _) ->
+                  incr resumed;
+                  worst := Float.max !worst threshold;
+                  false
+              | Some
+                  ( "disproved",
+                    { Certify.Certificate.body =
+                        Certify.Certificate.Witness { input; achieved = _ };
+                      _ } ) ->
+                  incr resumed;
+                  let outputs = Nn.Network.forward net input in
+                  if !disproof = None then
+                    disproof :=
+                      Some
+                        { input; outputs; achieved = outputs.(output k);
+                          component = k };
+                  false
+              | Some _ | None -> true)
+            (List.init components Fun.id)
+        in
+        (* Rung 4. The symbolic upper bounding form is only built when
+           some component is actually discharged with a certificate. *)
+        let symbolic = lazy (Absint.Symbolic.propagate net lbox) in
+        let prepass enc ks =
+          List.filter
+            (fun k ->
+              let ub = output_upper enc (output k) in
+              let discharged =
+                ub <= threshold
+                &&
+                match dir with
+                | None -> true
+                | Some dir ->
+                    (* Certifiable from the analysis's own bounding
+                       hyperplane — but only if that hyperplane survives
+                       the audit's outward-rounded replay. A marginal
+                       bound (analysis says [<=], the replay says [>])
+                       must not settle the component on unreplayable
+                       evidence: it falls through to the MILP, whose
+                       tree certificate replays leaf by leaf. *)
+                    let coeffs, const =
+                      Absint.Symbolic.output_upper_form (Lazy.force symbolic)
+                        net ~output:(output k)
+                    in
+                    emit ~dir k "proved"
+                      (Certify.Certificate.Presolve
+                         { coeffs; const; bound = ub })
+              in
+              if discharged then begin
+                incr presolved;
+                worst := Float.max !worst ub
+              end;
+              not discharged)
+            ks
+        in
+        let pending = if !disproof = None then prepass enc0 todo else [] in
+        let enc, pending =
+          if pending = [] || dir <> None || tighten_rounds <= 0
+             || Linalg.Mclock.now () >= leaf_deadline
+          then (enc0, pending)
+          else
+            match
+              Encoding.Encoder.tighten ~rounds:tighten_rounds
+                ~budget:(0.5 *. (leaf_deadline -. Linalg.Mclock.now ()))
+                ~cores ?lp_core enc0 net lbox
+            with
+            | enc -> (enc, prepass enc pending)
+            | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
+                incr degraded;
+                (enc0, pending)
+        in
+        (* Rung 5. *)
+        let priority = Encoding.Encoder.layer_order_priority enc in
+        let model = enc.Encoding.Encoder.model in
+        let model_hash = lazy (Certify.Certificate.model_fingerprint model) in
+        let solve_on core ~time_limit k =
+          let objective = Encoding.Encoder.output_objective enc (output k) in
+          let branch_rule = Milp.Solver.Priority priority in
+          match dir with
+          | Some _ ->
+              let leaves = ref [] in
+              let on_leaf fixes cert =
+                let evidence =
+                  match cert with
+                  | Milp.Solver.Leaf_bounded y ->
+                      Certify.Certificate.Ev_bounded y
+                  | Milp.Solver.Leaf_infeasible y ->
+                      Certify.Certificate.Ev_infeasible y
+                  | Milp.Solver.Leaf_empty_row i ->
+                      Certify.Certificate.Ev_empty_row i
+                  | Milp.Solver.Leaf_uncertified reason ->
+                      Certify.Certificate.Ev_unsupported reason
+                in
+                leaves :=
+                  { Certify.Certificate.fixes = Array.of_list (List.rev fixes);
+                    evidence }
+                  :: !leaves
+              in
+              let r =
+                Milp.Solver.solve ~time_limit ~cutoff:threshold ~branch_rule
+                  ~objective ~warm ~lp_core:core ~on_leaf model
+              in
+              (r, Array.of_list (List.rev !leaves))
+          | None ->
+              ( Milp.Parallel.solve ~cores ?portfolio ~time_limit
+                  ~cutoff:threshold ~branch_rule
+                  ?node_bound:
+                    (node_bound_for ~bound_mode enc net lbox ~output:(output k))
+                  ~objective ~warm ~lp_core:core model,
+                [||] )
+        in
+        let rec solve = function
+          | [] -> ()
+          | k :: rest as queue -> (
+              let share_end =
+                Linalg.Mclock.now ()
+                +. budget_slice ~deadline:leaf_deadline
+                     ~queue_len:(List.length queue) ()
+              in
+              let analysis_ub = output_upper enc (output k) in
+              let rec ladder = function
+                | [] -> `Bound analysis_ub
+                | core :: lower -> (
+                    let time_limit =
+                      Float.max 0.0 (share_end -. Linalg.Mclock.now ())
+                    in
+                    match solve_on core ~time_limit k with
+                    | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
+                        incr degraded;
+                        ladder lower
+                    | r, leaves -> (
+                        nodes := !nodes + r.Milp.Solver.nodes;
+                        match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
+                        | Some (solution, _), _ -> `Disproved solution
+                        | None, Milp.Solver.Optimal -> `Proved leaves
+                        | None, _ ->
+                            (* Two sound upper bounds — the solver's and
+                               the analysis one — so the tighter stands. *)
+                            `Bound
+                              (Float.min r.Milp.Solver.best_bound analysis_ub)))
+              in
+              match ladder cores_ladder with
+              | `Proved leaves ->
+                  Option.iter
+                    (fun dir ->
+                      ignore
+                        (emit ~dir k "proved"
+                           (Certify.Certificate.Milp_tree
+                              { model_hash = Lazy.force model_hash; leaves })
+                          : bool))
+                    dir;
+                  worst := Float.max !worst threshold;
+                  solve rest
+              | `Disproved solution ->
+                  (* A feasible point above the cutoff refutes the
+                     property. *)
+                  let w =
+                    witness_of_solution enc net ~component:k
+                      ~output_index:(output k) solution
+                  in
+                  Option.iter
+                    (fun dir -> ignore (emit_witness ~dir w : bool))
+                    dir;
+                  disproof := Some w
+              | `Bound b ->
+                  Option.iter (fun dir -> journal ~dir k "unknown" None) dir;
+                  worst := Float.max !worst b;
+                  solve rest)
+        in
+        solve pending;
+        Option.iter
+          (fun s ->
+            ignore
+              (Certify.Store.record s ~net_hash:(Lazy.force net_hash)
+                 leaf_props.(idx)))
+          store;
+        (match !disproof with
+         | Some w -> finish Solved (Disproved w)
+         | None when !worst <= threshold ->
+             finish
+               (if !presolved = components && !nodes = 0 then
+                  if had_candidate then Revalidated else Presolved
+                else Solved)
+               Proved
+         | None -> finish Unsettled (Unknown { best_bound = !worst }))
   in
-  (match shard_root with
-   | Some root ->
-       (* Certifying pipeline: sequential leaves (certified campaigns
-          trade speed for auditability throughout the driver). *)
-       let s = Option.get store in
-       let solve_leaf idx leaf_dir ~had_candidate =
-         let slice = budget_slice ~deadline ~queue_len:(n - idx) () in
-         if
-           Linalg.Mclock.now () >= deadline
-           && plan.Partition.upper.(idx) > threshold
-         then begin
-           (* Out of budget: an honest unattempted Unknown — paying the
-              leaf encoding would overrun the whole-call deadline. *)
-           incr unsettled;
-           worst := Float.max !worst plan.Partition.upper.(idx)
-         end
-         else begin
-           let r =
-             prove_certified ?session ~time_limit:slice ~bound_mode ~cores:1
-               ~warm ~lp_core ~certify_dir:(Some leaf_dir) ~resume:true
-               ~watchdog ~components ~threshold net
-               plan.Partition.boxes.(idx)
-           in
-           nodes := !nodes + r.proof_nodes;
-           presolved_components := !presolved_components + r.presolved;
-           certified := !certified + r.certified;
-           resumed := !resumed + r.resumed;
-           degraded := !degraded + r.degraded;
-           ignore (Certify.Store.record s ~net_hash leaf_props.(idx));
-           match r.proof with
-           | Disproved w ->
-               incr solved;
-               disproof := Some w
-           | Proved ->
-               if r.presolved = components && r.proof_nodes = 0 then
-                 if had_candidate then incr revalidated
-                 else incr presolved_leaves
-               else incr solved;
-               worst :=
-                 Float.max !worst
-                   (Float.min plan.Partition.upper.(idx) threshold)
-           | Unknown { best_bound } ->
-               incr unsettled;
-               worst := Float.max !worst best_bound
-         end
-       in
-       let i = ref 0 in
-       while !disproof = None && !i < n do
-         let idx = !i in
-         incr i;
-         let lprop = leaf_props.(idx) in
-         let lhash = leaf_hashes.(idx) in
-         let leaf_dir = Filename.concat root lhash in
-         match Certify.Store.lookup s ~net_hash lprop with
-         | Some { Certify.Store.entry; _ } -> (
-             incr cached;
-             match entry.Certify.Store.verdict with
-             | Certify.Store.Proved ->
-                 worst :=
-                   Float.max !worst
-                     (Float.min plan.Partition.upper.(idx) threshold)
-             | Certify.Store.Disproved { witness = input; achieved = _ } ->
-                 disproof := Some (witness_of_input input))
-         | None -> (
-             let candidates =
-               Certify.Store.revalidation_candidates s ~net_hash lprop
-             in
-             let witness_hit =
-               List.find_map
-                 (fun (e : Certify.Store.entry) ->
-                   match e.Certify.Store.verdict with
-                   | Certify.Store.Disproved { witness = input; _ }
-                     when Interval.Box.contains plan.Partition.boxes.(idx)
-                            input -> (
-                       let w = witness_of_input input in
-                       if w.achieved > threshold then Some w else None)
-                   | _ -> None)
-                 candidates
-             in
-             match witness_hit with
-             | Some w when emit_witness_cert ~dir:leaf_dir ~lprop ~lhash w ->
-                 incr revalidated;
-                 ignore (Certify.Store.record s ~net_hash lprop);
-                 disproof := Some w
-             | _ ->
-                 let had_candidate =
-                   List.exists
-                     (fun (e : Certify.Store.entry) ->
-                       e.Certify.Store.verdict = Certify.Store.Proved)
-                     candidates
-                 in
-                 solve_leaf idx leaf_dir ~had_candidate)
-       done
-   | None -> (
-       (* Plain pipeline: the plan's symbolic bounds discharge leaves
-          inline; the survivors run as independent MILPs. *)
-       let survivors = ref [] in
-       for idx = n - 1 downto 0 do
-         if plan.Partition.upper.(idx) <= threshold then begin
-           incr presolved_leaves;
-           worst := Float.max !worst plan.Partition.upper.(idx)
-         end
-         else survivors := idx :: !survivors
-       done;
-       let surv = Array.of_list !survivors in
-       let n_surv = Array.length surv in
-       let classify idx (r : proof_result) =
-         nodes := !nodes + r.proof_nodes;
-         presolved_components := !presolved_components + r.presolved;
-         degraded := !degraded + r.degraded;
-         match r.proof with
-         | Disproved w ->
-             incr solved;
-             disproof := Some w
-         | Proved ->
-             if r.presolved = components && r.proof_nodes = 0 then
-               incr presolved_leaves
-             else incr solved;
-             worst :=
-               Float.max !worst
-                 (Float.min plan.Partition.upper.(idx) threshold)
-         | Unknown { best_bound } ->
-             incr unsettled;
-             worst := Float.max !worst best_bound
-       in
-       (* OBBT is skipped per leaf ([tighten_rounds = 0]): its budget
-          share would dominate hundreds of small boxes, and the
-          symbolic pre-pass is what partition relies on. *)
-       if cores > 1 && n_surv > 1 && portfolio = None then begin
-         let fan = min cores n_surv in
-         let per_domain = (n_surv + fan - 1) / fan in
-         let slice = budget_slice ~deadline ~queue_len:per_domain () in
-         let stop = Atomic.make false in
-         let results =
-           Milp.Parallel.map ~cores:fan
-             ~init:(fun () -> ())
-             (fun () idx ->
-               if Atomic.get stop then None
-               else begin
-                 let r =
-                   prove_plain ~time_limit:slice ~bound_mode
-                     ~tighten_rounds:0 ~cores:1 ~portfolio:None ~warm
-                     ~lp_core ~components ~threshold net
-                     plan.Partition.boxes.(idx)
-                 in
-                 (match r.proof with
-                  | Disproved _ -> Atomic.set stop true
-                  | Proved | Unknown _ -> ());
-                 Some (idx, r)
-               end)
-             surv
-         in
-         Array.iter
-           (function None -> () | Some (idx, r) -> classify idx r)
-           results
-       end
-       else begin
-         let i = ref 0 in
-         while !disproof = None && !i < n_surv do
-           let idx = surv.(!i) in
-           let slice = budget_slice ~deadline ~queue_len:(n_surv - !i) () in
-           incr i;
-           if Linalg.Mclock.now () >= deadline then begin
-             incr unsettled;
-             worst := Float.max !worst plan.Partition.upper.(idx)
-           end
-           else
-             classify idx
-               (prove_plain ~time_limit:slice ~bound_mode ~tighten_rounds:0
-                  ~cores ~portfolio ~warm ~lp_core ~components ~threshold net
-                  plan.Partition.boxes.(idx))
-         done
-       end));
-  let stats =
-    {
-      Partition.leaves = n;
-      depth = plan.Partition.plan_depth;
-      presolved = !presolved_leaves;
-      cached = !cached;
-      revalidated = !revalidated;
-      solved = !solved;
-      unsettled = !unsettled;
-    }
+  (* Without evidence, leaves the plan's bound discharges settle for
+     free; the rest share the deadline. *)
+  let needs_work idx = evidence || plan.Partition.upper.(idx) > threshold in
+  let results =
+    Array.init n (fun idx ->
+        if needs_work idx then None
+        else Some (settle_leaf ~cores:1 ~portfolio:None ~slice:0.0 idx))
   in
+  let queue = Array.of_list (List.filter needs_work (List.init n Fun.id)) in
+  let nq = Array.length queue in
+  let is_disproof = function
+    | _, { proof = Disproved _; _ } -> true
+    | _, { proof = Proved | Unknown _; _ } -> false
+  in
+  if (not evidence) && cores > 1 && nq > 1 && portfolio = None then begin
+    (* Parallel leaf fan-out: each domain settles its chain of leaves
+       sequentially (no nested domain oversubscription), on a slice
+       sized for that chain; a disproof stops the leaves not yet
+       started. *)
+    let fan = min cores nq in
+    let slice = budget_slice ~deadline ~queue_len:((nq + fan - 1) / fan) () in
+    let stop = Atomic.make false in
+    let settled =
+      Milp.Parallel.map ~cores:fan
+        ~init:(fun () -> ())
+        (fun () idx ->
+          if Atomic.get stop then None
+          else begin
+            let r = settle_leaf ~cores:1 ~portfolio:None ~slice idx in
+            if is_disproof r then Atomic.set stop true;
+            Some r
+          end)
+        queue
+    in
+    Array.iteri (fun i r -> results.(queue.(i)) <- r) settled
+  end
+  else begin
+    let i = ref 0 and stop = ref false in
+    while (not !stop) && !i < nq do
+      let slice = budget_slice ~deadline ~queue_len:(nq - !i) () in
+      let r = settle_leaf ~cores ~portfolio ~slice queue.(!i) in
+      results.(queue.(!i)) <- Some r;
+      stop := is_disproof r;
+      incr i
+    done
+  end;
+  let settled = List.filter_map Fun.id (Array.to_list results) in
+  let count rung = List.length (List.filter (fun (r, _) -> r = rung) settled) in
+  let sum f = List.fold_left (fun acc (_, p) -> acc + f p) 0 settled in
   let proof =
-    match !disproof with
+    match
+      List.find_map
+        (function _, { proof = Disproved w; _ } -> Some w | _ -> None)
+        settled
+    with
     | Some w -> Disproved w
-    | None ->
-        if !unsettled = 0 && !worst <= threshold then Proved
-        else Unknown { best_bound = !worst }
+    | None -> (
+        match
+          List.filter_map
+            (function
+              | _, { proof = Unknown { best_bound }; _ } -> Some best_bound
+              | _ -> None)
+            settled
+        with
+        | [] -> Proved
+        | bounds ->
+            Unknown
+              { best_bound = List.fold_left Float.max neg_infinity bounds })
   in
   {
     proof;
     proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved = !presolved_components;
-    certified = !certified;
-    resumed = !resumed;
-    degraded = !degraded;
-    partition = Some stats;
+    proof_nodes = sum (fun p -> p.proof_nodes);
+    presolved = sum (fun p -> p.presolved);
+    certified = sum (fun p -> p.certified);
+    resumed = sum (fun p -> p.resumed);
+    degraded = sum (fun p -> p.degraded);
+    partition =
+      Option.map
+        (fun _ ->
+          {
+            Partition.leaves = n;
+            depth = plan.Partition.plan_depth;
+            presolved = count Presolved;
+            cached = count Cached;
+            revalidated = count Revalidated;
+            solved = count Solved;
+            unsettled = count Unsettled;
+          })
+        split;
   }
-
-let prove_lateral_velocity_le ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?(warm = true) ?lp_core ?certify_dir
-    ?(resume = false) ?(watchdog = false) ?split ?store ~components ~threshold
-    net box =
-  match split with
-  | Some policy ->
-      prove_partitioned ~time_limit ~bound_mode ~cores ~portfolio ~warm
-        ~lp_core ~certify_dir ~store ~watchdog ~policy ~components ~threshold
-        net box
-  | None ->
-      if certify_dir = None && not watchdog then
-        prove_plain ~time_limit ~bound_mode ~tighten_rounds ~cores ~portfolio
-          ~warm ~lp_core ~components ~threshold net box
-      else
-        prove_certified ~time_limit ~bound_mode ~cores ~warm ~lp_core
-          ~certify_dir ~resume ~watchdog ~components ~threshold net box
-
-let prove_in_session session ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(warm = true) ?lp_core
-    ?certify_dir ?(resume = false) ?(watchdog = true) ?split ?store ~components
-    ~threshold box =
-  match split with
-  | Some policy ->
-      prove_partitioned ~session ~time_limit ~bound_mode ~cores:1
-        ~portfolio:None ~warm ~lp_core ~certify_dir ~store ~watchdog ~policy
-        ~components ~threshold session.session_net box
-  | None ->
-      prove_certified ~session ~time_limit ~bound_mode ~cores:1 ~warm ~lp_core
-        ~certify_dir ~resume ~watchdog ~components ~threshold
-        session.session_net box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =
   if samples <= 0 then invalid_arg "Driver.sampled_max_lateral_velocity";

@@ -118,15 +118,15 @@ type proof_result = {
           search ran for them *)
   certified : int;
       (** components whose emitted certificate passed the in-process
-          {!Certify.Audit.check_certificate} replay; [0] without
-          [certify_dir] *)
+          {!Certify.Audit.check_certificate} replay; [0] in a run that
+          keeps no evidence *)
   resumed : int;
       (** components skipped because a valid journal entry from a
-          previous run of the same question already settled them;
-          [0] without [resume] *)
+          previous run of the same question already settled them *)
   degraded : int;
-      (** watchdog fallback-ladder transitions taken (a rung timed out
-          or failed numerically and the next one was tried) *)
+      (** ladder steps — an OBBT round or an LP core's MILP — that
+          raised ([Lp.Simplex.Numerical_error] or [Failure]) and handed
+          over to the next one *)
   partition : Partition.stats option;
       (** leaf accounting when the query ran partitioned ([?split]);
           [None] for a monolithic solve *)
@@ -141,6 +141,23 @@ val budget_slice : ?now:float -> deadline:float -> queue_len:int -> unit -> floa
     the remaining budget itself, so the floor can never grant time the
     caller no longer has. Exposed for tests. *)
 
+(** {2 Sessions}
+
+    Per-model state for callers that issue many queries against the
+    same loaded network — the [depnn serve] workers above all. The
+    session computes the network's {!Nn.Io.content_hash} {e once} at
+    creation and memoises the round-0 (no OBBT) encoding of the most
+    recent monolithic question, so back-to-back queries over the same
+    box skip the encoder. A session is single-domain state: give each
+    worker domain its own. *)
+
+type session
+
+val create_session : Nn.Network.t -> session
+(** Hashes the network once and starts with an empty encoding memo. *)
+
+val session_net : session -> Nn.Network.t
+val session_net_hash : session -> string
 
 val prove_lateral_velocity_le :
   ?time_limit:float ->
@@ -151,112 +168,82 @@ val prove_lateral_velocity_le :
   ?warm:bool ->
   ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
-  ?resume:bool ->
-  ?watchdog:bool ->
   ?split:Partition.policy ->
   ?store:Certify.Store.t ->
+  ?session:session ->
   components:int ->
   threshold:float ->
   Nn.Network.t ->
   Interval.Box.box ->
   proof_result
-(** Decision query under the same whole-call budget contract as
-    {!max_lateral_velocity}.
+(** Decision query: is every component's lateral mean [<= threshold]
+    on the box? [time_limit] (default 60 s) is one deadline for the
+    {e whole} call — planning, encoding, OBBT and every solve — and
+    the call ends within it plus one node's slack. [depnn verify] runs
+    this decision first under its [--time-limit] and gives the exact
+    maximisation only the time it leaves.
 
-    An incomplete analysis pre-pass runs first: any component whose
-    output upper bound from the encoding's bound analysis (symbolic
-    under [Symbolic_bounds]) already meets [threshold] is discharged
-    without any search — [presolved] counts them. When the pre-pass
-    discharges every component the verdict is [Proved] with
-    [proof_nodes = 0]. Remaining components fall through to the cutoff
-    MILP query (branch-aware symbolic pruning enabled under
-    [Symbolic_bounds]).
+    {b Plan.} Without [split] the question is a one-leaf plan: the box
+    itself. [split] bisects the box along its most influential
+    dimensions ({!Partition.plan}, at most a quarter of the budget).
+    Leaves share the deadline as rolled-forward slices
+    ({!budget_slice}). One disproved leaf disproves the parent (the
+    witness lies inside the parent box) and stops the campaign;
+    [Proved] requires every leaf settled.
 
-    [certify_dir] switches to the {e certifying} campaign: every
-    settled component writes a replayable {!Certify.Certificate} (dual
-    or Farkas evidence per branch-and-bound leaf, the symbolic bounding
-    hyperplane for presolved components, a concrete witness for
-    falsifications) plus a checksummed, fsynced journal line, so
-    [depnn audit] can re-verify the verdict with outward-rounded
-    arithmetic and a kill at any instant loses at most the component in
-    flight. Certification forces [tighten_rounds = 0] (OBBT-tightened
-    models are not independently rebuildable) and solves components
-    sequentially without the analysis node-bound hook (such prunes have
-    no replayable evidence) — certified campaigns trade speed for
-    auditability by design. [resume] (default [false]) reloads the
-    journal and skips components already settled for the {e same}
-    network content hash and property hash ([resumed] counts them);
-    entries for any other question, torn journal lines and unparseable
-    certificates are ignored and the component is re-proved.
+    {b Ladder.} Every leaf settles down the same rungs, cheapest first:
+    + proof-store probe, exact or subsumed (split runs only);
+    + cross-network revalidation: a stored disproving witness of the
+      same leaf question about other weights replays through this
+      network (split runs only);
+    + the leaf directory's journal: components a previous run of the
+      {e same} question settled (same network content hash and property
+      hash, checksummed certificate that parses) are skipped —
+      [resumed] counts them; torn lines, other questions and
+      unparseable certificates are re-proved, never trusted;
+    + the analysis pre-pass on the untightened encoding: a component
+      whose output upper bound (symbolic under [Symbolic_bounds])
+      already meets [threshold] is discharged without search —
+      [presolved] counts them, and when it discharges everything the
+      verdict is [Proved] with [proof_nodes = 0];
+    + a cutoff MILP per pending component, on [lp_core] (default
+      {!Lp.Simplex.default_core}) and then on the dense core. Only a
+      rung that {e raises} a numerical failure hands over to the next
+      ([degraded] counts the hand-overs); a leaf whose every core
+      raised ends in an honest [Unknown] at its analysis bound, never
+      an exception. A timeout ends the ladder with the tightest sound
+      bound seen: the solver's or the analysis one.
 
-    [watchdog] (default [false], usable with or without [certify_dir])
-    runs each remaining component under its share of the deadline and
-    degrades along a fallback ladder — symbolic-only presolve, sparse
-    MILP, dense MILP, honest [Unknown] — catching per-rung numerical
-    failures instead of aborting the campaign ([degraded] counts the
-    transitions).
+    {b Evidence.} One rule decides everything else: does the run keep
+    replayable evidence? It does with [certify_dir] on a monolithic
+    question, and with a store (explicit [store], or opened on
+    [certify_dir]) on a split one.
+    - Evidence kept: every settled component writes a replayable
+      {!Certify.Certificate} (dual or Farkas evidence per
+      branch-and-bound leaf, the symbolic bounding hyperplane for
+      presolved components, a concrete witness for falsifications),
+      self-checked by the audit's own replay, plus a checksummed,
+      fsynced journal line, so [depnn audit] can re-verify the verdict
+      with outward-rounded arithmetic and a kill at any instant loses
+      at most the component in flight. The monolithic directory holds
+      [component-k.cert] and the journal directly; a split gives each
+      leaf its own directory named by its property hash under the store
+      root, records each verdict in the store as it lands, and writes a
+      checksummed {!Certify.Shard} manifest of the split tree. Only what
+      a certificate replays is searched: no OBBT, no analysis node-bound
+      hook, one sequential leaf-streaming solve per component.
+    - No evidence: after the pre-pass, [tighten_rounds] (default 1)
+      rounds of OBBT tighten the same round-0 build for the pending
+      components only, and the pre-pass runs again on the tightened
+      bound; the search runs on [cores] domains or the [portfolio]
+      split with the branch-aware symbolic node bound under
+      [Symbolic_bounds]; with [cores > 1] and no [portfolio], a split's
+      surviving leaves fan out over the domains.
 
-    [split] switches to partition-and-conquer: the input box is bisected
-    along its most influential dimensions ({!Partition.plan}) and each
-    leaf runs the cheapest-first pipeline — proof-store lookup,
-    cross-network revalidation, symbolic pre-pass, MILP — under a
-    rolled-forward slice of the same whole-call budget. One disproved
-    leaf disproves the parent (the witness lies inside the parent box)
-    and stops the campaign; [Proved] requires every leaf settled. With
-    [certify_dir] (or an explicit [store]) each leaf writes its own
-    certificate directory named by its property hash, the store caches
-    each verdict as it lands, and a checksummed {!Certify.Shard}
-    manifest records the split tree so the audit can re-establish that
-    the leaves tile the parent box. [store] (default: opened on
-    [certify_dir] when present) also supplies the cross-network entries
-    whose disproving witnesses are replayed through the current network
-    — the mechanism that answers most leaves from cache after a
-    retrain. [split] ignores [resume] (per-leaf resume is implied) and
-    [tighten_rounds] (OBBT per leaf would dominate many small boxes). *)
-
-(** {2 Sessions}
-
-    Per-model state for callers that issue many queries against the
-    same loaded network — the [depnn serve] workers above all. The
-    session computes the network's {!Nn.Io.content_hash} {e once} at
-    creation (previously [prove_lateral_velocity_le] re-hashed the
-    network on every certified call) and memoises the deterministic
-    [tighten_rounds = 0] encoding of the most recent (bound mode, box,
-    lp core) question, so back-to-back queries over the same box skip
-    the encoder. A session is single-domain state: give each worker
-    domain its own. *)
-
-type session
-
-val create_session : Nn.Network.t -> session
-(** Hashes the network once and starts with an empty encoding memo. *)
-
-val session_net : session -> Nn.Network.t
-val session_net_hash : session -> string
-
-val prove_in_session :
-  session ->
-  ?time_limit:float ->
-  ?bound_mode:Encoding.Encoder.bound_mode ->
-  ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
-  ?certify_dir:string ->
-  ?resume:bool ->
-  ?watchdog:bool ->
-  ?split:Partition.policy ->
-  ?store:Certify.Store.t ->
-  components:int ->
-  threshold:float ->
-  Interval.Box.box ->
-  proof_result
-(** The certifying/watchdogged decision query of
-    {!prove_lateral_velocity_le}, with the session's cached hash and
-    encoding memo threaded through. [watchdog] defaults to [true] here
-    (a server must degrade to an honest [Unknown], never abort), and
-    the solve is sequential within the session — parallelism belongs to
-    the caller's worker pool. [split]/[store] behave as in
-    {!prove_lateral_velocity_le}, reusing the session's cached network
-    hash for the leaf property hashes. *)
+    [split] ignores [tighten_rounds] (OBBT per leaf would dominate many
+    small boxes; the split relies on the symbolic pre-pass); the
+    monolithic question ignores [store]. [session] (created from the
+    same [net]) reuses its network hash and encoding memo. *)
 
 val sampled_max_lateral_velocity :
   rng:Linalg.Rng.t ->

@@ -280,9 +280,9 @@ let exact_max net b0 =
   Option.get
     (Verify.Driver.max_lateral_velocity ~components:2 net b0).Verify.Driver.value
 
-let prove ?certify_dir ?(resume = false) ?(watchdog = false) ~threshold net b0 =
-  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~resume ~watchdog
-    ~components:2 ~threshold net b0
+let prove ?certify_dir ~threshold net b0 =
+  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~components:2
+    ~threshold net b0
 
 let test_certified_proof_audits () =
   let net = mini_predictor 61 in
@@ -370,7 +370,7 @@ let test_resume_after_kill () =
   let oc = open_out_bin (Filename.concat dir "journal.log") in
   output_string oc (first ^ "\n");
   close_out oc;
-  let p2 = prove ~certify_dir:dir ~resume:true ~threshold net b0 in
+  let p2 = prove ~certify_dir:dir ~threshold net b0 in
   Alcotest.(check bool) "resumed run proved" true
     (p2.Verify.Driver.proof = Verify.Driver.Proved);
   Alcotest.(check int) "one component resumed, not re-proved" 1
@@ -379,13 +379,13 @@ let test_resume_after_kill () =
   Alcotest.(check bool) "audit confirms after resume" true
     (rep.Certify.Audit.verdict = `Proved && rep.Certify.Audit.ok);
   (* A third run resumes everything and does no solving at all. *)
-  let p3 = prove ~certify_dir:dir ~resume:true ~threshold net b0 in
+  let p3 = prove ~certify_dir:dir ~threshold net b0 in
   Alcotest.(check int) "everything resumed" 2 p3.Verify.Driver.resumed;
   Alcotest.(check int) "no nodes searched" 0 p3.Verify.Driver.proof_nodes;
   Alcotest.(check bool) "verdict preserved" true
     (p3.Verify.Driver.proof = Verify.Driver.Proved);
   (* Asking a different question must not reuse the journal. *)
-  let p4 = prove ~certify_dir:dir ~resume:true ~threshold:(v +. 0.7) net b0 in
+  let p4 = prove ~certify_dir:dir ~threshold:(v +. 0.7) net b0 in
   Alcotest.(check int) "different threshold resumes nothing" 0
     p4.Verify.Driver.resumed
 
@@ -393,15 +393,112 @@ let test_watchdog_same_verdict () =
   let net = mini_predictor 66 in
   let b0 = box 6 0.3 in
   let v = exact_max net b0 in
-  let p = prove ~watchdog:true ~threshold:(v +. 0.5) net b0 in
+  let p = prove ~threshold:(v +. 0.5) net b0 in
   Alcotest.(check bool) "watchdog proves" true
     (p.Verify.Driver.proof = Verify.Driver.Proved);
   let dir = fresh_dir "watchdog" in
-  let pc = prove ~certify_dir:dir ~watchdog:true ~threshold:(v +. 0.5) net b0 in
+  let pc = prove ~certify_dir:dir ~threshold:(v +. 0.5) net b0 in
   Alcotest.(check bool) "certified watchdog proves" true
     (pc.Verify.Driver.proof = Verify.Driver.Proved);
   let rep = Certify.Audit.run ~net ~dir in
   Alcotest.(check bool) "audit confirms" true rep.Certify.Audit.ok
+
+(* {1 The settle ladder's rungs} *)
+
+(* The analysis bound of the untightened encoding: what a decision that
+   no MILP rung could improve reports. *)
+let analysis_bound net b0 =
+  let enc = Encoding.Encoder.encode net b0 in
+  let post = enc.Encoding.Encoder.bounds.Encoding.Bounds.post in
+  List.fold_left
+    (fun acc k ->
+      Float.max acc
+        post.(Array.length post - 1).(Nn.Gmm.mu_lat_index ~components:2 k)
+          .Interval.hi)
+    neg_infinity [ 0; 1 ]
+
+(* A timeout is not a numerical failure: it ends the ladder with the
+   tightest sound bound seen instead of handing over to the dense rung
+   and discarding the timed-out rung's bound. Under a hopeless budget
+   the certified decision is Unknown with nothing degraded, and its
+   bound is never looser than the untightened evidence-free run of the
+   same question under the same budget; under a budget that lets the
+   search start, the bound never exceeds the analysis bound the search
+   began from. *)
+let test_timeout_ends_ladder_with_bound () =
+  let net = small_net 67 [ 6; 40; 40; 40; Nn.Gmm.output_dim ~components:2 ] in
+  let b0 = box 6 1.0 in
+  let rng = Linalg.Rng.create 67 in
+  let sampled, _ =
+    Verify.Driver.sampled_max_lateral_velocity ~rng ~samples:500
+      ~components:2 net b0
+  in
+  let analysis = analysis_bound net b0 in
+  let threshold = sampled +. (0.05 *. (analysis -. sampled)) in
+  let unknown_bound (r : Verify.Driver.proof_result) =
+    match r.Verify.Driver.proof with
+    | Verify.Driver.Unknown { best_bound } -> best_bound
+    | Verify.Driver.Proved | Verify.Driver.Disproved _ ->
+        Alcotest.fail "expected the decision to time out"
+  in
+  let certified time_limit =
+    Verify.Driver.prove_lateral_velocity_le
+      ~certify_dir:(fresh_dir "ladder_timeout") ~time_limit ~components:2
+      ~threshold net b0
+  in
+  let hopeless = 1e-3 in
+  let c = certified hopeless in
+  let free =
+    Verify.Driver.prove_lateral_velocity_le ~tighten_rounds:0
+      ~time_limit:hopeless ~components:2 ~threshold net b0
+  in
+  Alcotest.(check int) "hopeless: nothing degraded" 0 c.Verify.Driver.degraded;
+  Alcotest.(check bool)
+    (Printf.sprintf "hopeless: certified bound %.6f <= evidence-free %.6f"
+       (unknown_bound c) (unknown_bound free))
+    true
+    (unknown_bound c <= unknown_bound free);
+  let c = certified 0.3 in
+  Alcotest.(check int) "0.3 s: nothing degraded" 0 c.Verify.Driver.degraded;
+  Alcotest.(check bool)
+    (Printf.sprintf "0.3 s: bound %.6f within the analysis bound %.6f"
+       (unknown_bound c) analysis)
+    true
+    (unknown_bound c <= analysis)
+
+(* A rung that raises hands over to the next one, and a leaf whose every
+   rung raised ends in an honest Unknown — never an exception, which is
+   what keeps a proof server's worker alive. Weights of 1e307 out of
+   one hidden neuron keep every bound finite, so the network encodes,
+   but overflow the first pivots, so both LP cores raise
+   [Numerical_error]. *)
+let test_raising_rungs_degrade_to_unknown () =
+  let net = mini_predictor 68 in
+  let w = (Nn.Network.layer net 1).Nn.Layer.weights in
+  for r = 0 to Linalg.Mat.rows w - 1 do
+    Linalg.Mat.set w r 0 1e307
+  done;
+  let b0 = box 6 0.3 in
+  List.iter
+    (fun certify_dir ->
+      let r =
+        Verify.Driver.prove_lateral_velocity_le ?certify_dir ~time_limit:10.0
+          ~components:2 ~threshold:0.0 net b0
+      in
+      let mode = if certify_dir = None then "plain" else "certified" in
+      (match r.Verify.Driver.proof with
+       | Verify.Driver.Unknown _ -> ()
+       | Verify.Driver.Proved | Verify.Driver.Disproved _ ->
+           Alcotest.fail (mode ^ ": expected an honest Unknown"));
+      Alcotest.(check bool) (mode ^ ": rungs degraded") true
+        (r.Verify.Driver.degraded > 0);
+      Option.iter
+        (fun dir ->
+          let rep = Certify.Audit.run ~net ~dir in
+          Alcotest.(check bool) (mode ^ ": audit does not prove") true
+            (rep.Certify.Audit.verdict <> `Proved))
+        certify_dir)
+    [ None; Some (fresh_dir "ladder_raise") ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -436,6 +533,10 @@ let () =
           slow "disproof witness audits" test_disproof_witness_audits;
           slow "kill + resume" test_resume_after_kill;
           slow "watchdog verdict" test_watchdog_same_verdict;
+          slow "timeout ends ladder with bound"
+            test_timeout_ends_ladder_with_bound;
+          slow "raising rungs degrade to unknown"
+            test_raising_rungs_degrade_to_unknown;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_lp_certs_replay_both_cores ] );

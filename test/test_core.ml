@@ -96,6 +96,36 @@ let test_pipeline_report_renders () =
        true
      with Not_found -> false)
 
+(* Pillar B shares one budget: the maximisation the guard envelope needs
+   runs first and the proof gets only what it leaves, so on a query that
+   times out the stage ends within [verify_time_limit] + 0.5 s, not
+   twice the limit. The stage is timed between the pipeline's own
+   progress lines. *)
+let test_pipeline_verification_one_deadline () =
+  let config =
+    {
+      tiny_config with
+      Pipeline.width = 10;
+      epochs = 1;
+      scenario_slack = 0.6;
+      verify_time_limit = 1.5;
+    }
+  in
+  let stamps = ref [] in
+  let progress line = stamps := (line, Linalg.Mclock.now ()) :: !stamps in
+  let a = Pipeline.run ~progress config in
+  let stamp prefix =
+    snd (List.find (fun (l, _) -> String.starts_with ~prefix l) !stamps)
+  in
+  let elapsed = stamp "runtime guard" -. stamp "pillar B" in
+  Alcotest.(check bool) "maximisation timed out" true
+    a.Pipeline.verification.Verify.Driver.timed_out;
+  Alcotest.(check bool)
+    (Printf.sprintf "pillar B %.2fs within %.2fs + 0.5s" elapsed
+       config.Pipeline.verify_time_limit)
+    true
+    (elapsed <= config.Pipeline.verify_time_limit +. 0.5)
+
 let test_pipeline_deterministic_data () =
   (* Same seed, same audit result (data generation is deterministic). *)
   let rng1 = Linalg.Rng.create 123 and rng2 = Linalg.Rng.create 123 in
@@ -138,6 +168,8 @@ let () =
           slow "verification ran" test_pipeline_verification_ran;
           slow "certify consistent" test_pipeline_certify_consistent;
           slow "report renders" test_pipeline_report_renders;
+          slow "verification: one deadline"
+            test_pipeline_verification_one_deadline;
           quick "deterministic data" test_pipeline_deterministic_data;
           slow "closed-loop evaluation" test_closed_loop_evaluation;
         ] );

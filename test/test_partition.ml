@@ -169,13 +169,18 @@ let test_split_falsification_witness_in_parent_box () =
   | Verify.Driver.Unknown _ -> Alcotest.fail "mini net should settle"
 
 (* Partitioning may never flip a settled verdict against the monolithic
-   solve: if both settle, they agree. *)
+   solve: if both settle, they agree — whether the runs keep evidence
+   (certification directories) or not, and whether they go through a
+   session or not. *)
 let prop_split_never_flips =
   QCheck.Test.make ~name:"partitioned verdict agrees with monolithic"
     ~count:8
     (QCheck.make
-       QCheck.Gen.(triple (int_range 0 999) (int_range 6 10) (float_range (-0.3) 0.3)))
-    (fun (seed, width, dt) ->
+       QCheck.Gen.(
+         pair
+           (triple (int_range 0 999) (int_range 6 10) (float_range (-0.3) 0.3))
+           (pair bool bool)))
+    (fun ((seed, width, dt), (evidence, in_session)) ->
       let net =
         small_net seed [ 6; width; Nn.Gmm.output_dim ~components:2 ]
       in
@@ -187,16 +192,78 @@ let prop_split_never_flips =
         | Verify.Driver.Disproved _ -> Some false
         | Verify.Driver.Unknown _ -> None
       in
-      let mono =
-        Verify.Driver.prove_lateral_velocity_le ~components:2 ~threshold net b0
+      let session =
+        if in_session then Some (Verify.Driver.create_session net) else None
       in
+      let prove ?split dir =
+        Verify.Driver.prove_lateral_velocity_le ?session
+          ?certify_dir:(if evidence then Some dir else None)
+          ~components:2 ~threshold ?split net b0
+      in
+      with_tmpdir @@ fun dir ->
+      let mono = prove (Filename.concat dir "mono") in
       let part =
-        Verify.Driver.prove_lateral_velocity_le ~components:2 ~threshold
-          ~split:(Verify.Partition.Depth 1) net b0
+        prove ~split:(Verify.Partition.Depth 1) (Filename.concat dir "part")
       in
       match (settled mono, settled part) with
       | Some a, Some b -> a = b
       | _ -> true)
+
+(* The pre-pass runs before OBBT: a plain decision that the untightened
+   symbolic bound already discharges pays for no OBBT round, so it
+   finishes within a small multiple of the certified run of the same
+   question (which never runs OBBT) — on a net where one OBBT round
+   costs far more than the pre-pass. *)
+let test_prepass_before_obbt () =
+  let symbolic = Encoding.Encoder.Symbolic_bounds in
+  let net = small_net 14 [ 6; 24; 24; Nn.Gmm.output_dim ~components:2 ] in
+  let b0 = box 6 1.0 in
+  (* Headroom above the audit's own outward symbolic bound, so the
+     certified run's presolve certificates replay too. *)
+  let threshold =
+    List.fold_left
+      (fun acc k ->
+        Float.max acc
+          (Certify.Checker.symbolic_output_upper net b0
+             ~output:(Nn.Gmm.mu_lat_index ~components:2 k)))
+      neg_infinity [ 0; 1 ]
+    +. 0.1
+  in
+  let timed f =
+    let t0 = Linalg.Mclock.now () in
+    let r = f () in
+    (r, Linalg.Mclock.now () -. t0)
+  in
+  let _, obbt_s =
+    timed (fun () ->
+        Encoding.Encoder.encode ~bound_mode:symbolic ~tighten_rounds:1 net b0)
+  in
+  let prove ?certify_dir () =
+    Verify.Driver.prove_lateral_velocity_le ~bound_mode:symbolic ?certify_dir
+      ~components:2 ~threshold net b0
+  in
+  with_tmpdir @@ fun dir ->
+  let certified, certified_s = timed (prove ~certify_dir:dir) in
+  let plain, plain_s = timed (prove ?certify_dir:None) in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check bool) (name ^ " proved") true
+        (r.Verify.Driver.proof = Verify.Driver.Proved);
+      Alcotest.(check int) (name ^ ": zero nodes") 0
+        r.Verify.Driver.proof_nodes;
+      Alcotest.(check int) (name ^ ": every component presolved") 2
+        r.Verify.Driver.presolved)
+    [ ("plain", plain); ("certified", certified) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "premise: OBBT round %.4fs dwarfs the certified run %.4fs"
+       obbt_s certified_s)
+    true
+    (obbt_s > 10.0 *. certified_s);
+  Alcotest.(check bool)
+    (Printf.sprintf "plain %.4fs within 4x certified %.4fs (+20 ms)" plain_s
+       certified_s)
+    true
+    (plain_s <= (4.0 *. certified_s) +. 0.02)
 
 (* Many leaves under a tiny whole-call budget: the per-leaf slices must
    not starve the call into nonsense — the run returns promptly with an
@@ -406,6 +473,7 @@ let () =
           slow "proves easy threshold" test_split_proves_easy_threshold;
           slow "falsification witness" test_split_falsification_witness_in_parent_box;
           slow "many leaves, tiny budget" test_many_leaves_tiny_budget_honest;
+          slow "pre-pass before OBBT" test_prepass_before_obbt;
         ] );
       ("budget", [ quick "budget_slice contract" test_budget_slice ]);
       ( "certify",

@@ -265,8 +265,9 @@ let prove_into_store store session ~net_hash ~threshold p =
   let prop_hash = Certify.Certificate.property_hash ~net_hash p in
   let dir = Certify.Store.entry_dir store ~prop_hash in
   let r =
-    Verify.Driver.prove_in_session session ~time_limit:60.0
+    Verify.Driver.prove_lateral_velocity_le ~session ~time_limit:60.0
       ~certify_dir:dir ~components:2 ~threshold
+      (Verify.Driver.session_net session)
       (Array.map (fun (lo, hi) -> Interval.make lo hi)
          p.Certify.Certificate.box)
   in
@@ -373,11 +374,11 @@ let test_store_never_caches_unknown () =
   let session = Verify.Driver.create_session net in
   let p = prop ~threshold:0.0 () in
   let prop_hash = Certify.Certificate.property_hash ~net_hash p in
-  (* A hopeless budget forces the watchdog's honest Unknown. *)
+  (* A hopeless budget forces the ladder's honest Unknown. *)
   let r =
-    Verify.Driver.prove_in_session session ~time_limit:1e-9
+    Verify.Driver.prove_lateral_velocity_le ~session ~time_limit:1e-9
       ~certify_dir:(Certify.Store.entry_dir store ~prop_hash) ~components:2
-      ~threshold:0.0
+      ~threshold:0.0 net
       (Array.map (fun (lo, hi) -> Interval.make lo hi)
          p.Certify.Certificate.box)
   in
@@ -649,8 +650,8 @@ let prop_concurrent_matches_sequential =
         let session = Verify.Driver.create_session net in
         Array.map
           (fun threshold ->
-            (Verify.Driver.prove_in_session session ~time_limit:60.0
-               ~components:2 ~threshold (ibox 6 0.3))
+            (Verify.Driver.prove_lateral_velocity_le ~session ~time_limit:60.0
+               ~components:2 ~threshold net (ibox 6 0.3))
               .Verify.Driver.proof)
           thresholds
       in

@@ -258,12 +258,12 @@ let test_finite_time_limit_respected_globally () =
   let net = small_net 48 [ 8; 48; 48; Nn.Gmm.output_dim ~components:2 ] in
   let b0 = box 8 1.0 in
   let time_limit = 4.0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Linalg.Mclock.now () in
   let r =
     Verify.Driver.max_lateral_velocity ~time_limit ~tighten_rounds:2
       ~components:2 net b0
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Linalg.Mclock.now () -. t0 in
   (* The old scheme would legally spend 1.5x + slack; require well under
      that, with slack for one node and the final witness replay. *)
   Alcotest.(check bool)
@@ -406,13 +406,43 @@ let test_parallel_components_agree () =
 let test_time_limit_respected () =
   let net = small_net 41 [ 8; 16; 16; 16; 4 ] in
   let b0 = box 8 1.0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Linalg.Mclock.now () in
   let r = Verify.Driver.maximize_output ~time_limit:1.0 ~output:0 net b0 in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Linalg.Mclock.now () -. t0 in
   (* Allow generous slack for the encoding and final LP solve. *)
   Alcotest.(check bool) "returns promptly" true (elapsed < 20.0);
   Alcotest.(check bool) "flagged or solved" true
     (r.Verify.Driver.timed_out || r.Verify.Driver.optimal)
+
+(* [depnn verify --time-limit T] spends one deadline: the decision runs
+   first under the whole budget and the exact maximisation gets only
+   what it leaves. On a decision that times out (a wide box on an
+   I4x10 predictor, whose node LPs are cheap), the whole command —
+   process start, bound printout, decision, skipped maximisation — ends
+   within T + 0.5 s, not 2T. *)
+let test_cli_verify_one_deadline () =
+  let net =
+    Nn.Network.i4xn ~rng:(Linalg.Rng.create 5)
+      ~output_dim:(Nn.Gmm.output_dim ~components:3) 10
+  in
+  let path = Filename.temp_file "depnn_verify_deadline" ".net" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Nn.Io.save path net;
+  let time_limit = 1.5 in
+  let t0 = Linalg.Mclock.now () in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/depnn_cli.exe verify %s --time-limit %g --slack 0.6 \
+          --threshold 1.0 > %s"
+         (Filename.quote path) time_limit Filename.null)
+  in
+  let elapsed = Linalg.Mclock.now () -. t0 in
+  Alcotest.(check int) "decision timed out (exit 2, Unknown)" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "elapsed %.2fs within %.2fs + 0.5s" elapsed time_limit)
+    true
+    (elapsed <= time_limit +. 0.5)
 
 (* With a zero time budget the driver can do no branching at all.  It
    must still flag the timeout, report an upper bound that soundly
@@ -479,6 +509,7 @@ let () =
           slow "bound modes agree" test_bound_modes_agree;
           slow "pre-pass proves, zero nodes" test_prepass_proves_with_zero_nodes;
           slow "parallel components agree" test_parallel_components_agree;
+          slow "cli verify: one deadline" test_cli_verify_one_deadline;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_zero_time_limit_honest ] );
