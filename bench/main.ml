@@ -823,13 +823,14 @@ let partition_smoke_measurements () =
   (* Headroom above the whole-box outward symbolic bound (which
      dominates every leaf's bound), so all four leaves discharge by
      presolve and the nudged replay revalidates them all. *)
-  let ub = ref neg_infinity in
-  for k = 0 to 1 do
-    let output = Nn.Gmm.mu_lat_index ~components:2 k in
-    ub := Float.max !ub (Certify.Checker.symbolic_output_upper net box ~output)
-  done;
+  let uppers = Certify.Checker.symbolic_output_uppers net box in
+  let ub =
+    Float.max
+      uppers.(Nn.Gmm.mu_lat_index ~components:2 0)
+      uppers.(Nn.Gmm.mu_lat_index ~components:2 1)
+  in
   partition_measurements ~width:10 ~split:(Verify.Partition.Depth 2)
-    ~components:2 ~threshold:(!ub +. 0.5) ~time_limit:30.0 net box
+    ~components:2 ~threshold:(ub +. 0.5) ~time_limit:30.0 net box
 
 let render_partition_row m =
   Printf.printf "baseline (monolithic):     %s in %.1fs\n" m.pt_baseline_outcome

@@ -24,6 +24,63 @@ let audit_tol threshold = 1e-4 *. (1.0 +. Float.abs threshold)
 let box_of (p : Certificate.property) =
   Array.map (fun (lo, hi) -> Interval.make lo hi) p.box
 
+(* --- per-question replay state ------------------------------------- *)
+
+(* Everything the replay of one question computes independently of any
+   single certificate: every component of a question replays against
+   the same network and the same box, so the outward bounds and the
+   round-0 rebuild are shared. Each field is forced on first use only,
+   after the certificate in hand passed its shape checks. *)
+type replay = {
+  net : Nn.Network.t;
+  property : Certificate.property;
+  hash : string Lazy.t;
+  uppers : float array option Lazy.t;
+      (* [None]: the outward pass rejected the box *)
+  rebuilt : (Encoding.Encoder.t * string, string) result Lazy.t;
+      (* the round-0 encoding and its model fingerprint *)
+}
+
+let make ~net_hash net (p : Certificate.property) =
+  {
+    net;
+    property = p;
+    hash = net_hash;
+    uppers =
+      lazy
+        (try Some (Checker.symbolic_output_uppers net (box_of p))
+         with Invalid_argument _ -> None);
+    rebuilt =
+      lazy
+        (match Checker.mode_of_string p.bound_mode with
+         | None -> Error (Printf.sprintf "unknown bound mode %S" p.bound_mode)
+         | Some mode -> (
+             match
+               Encoding.Encoder.encode ~bound_mode:mode ~tighten_rounds:0 net
+                 (box_of p)
+             with
+             | enc ->
+                 Ok
+                   ( enc,
+                     Certificate.model_fingerprint enc.Encoding.Encoder.model )
+             | exception Invalid_argument m ->
+                 Error ("cannot rebuild encoding: " ^ m)));
+  }
+
+let replay net p = make ~net_hash:(lazy (Nn.Io.content_hash net)) net p
+
+(* Bit-level equality, so that a NaN equals itself and -0.0 differs
+   from 0.0: a replay serves exactly the property it was built for. *)
+let same_property (a : Certificate.property) (b : Certificate.property) =
+  let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  same_float a.threshold b.threshold
+  && a.components = b.components
+  && String.equal a.bound_mode b.bound_mode
+  && Array.length a.box = Array.length b.box
+  && Array.for_all2
+       (fun (l1, h1) (l2, h2) -> same_float l1 l2 && same_float h1 h2)
+       a.box b.box
+
 (* --- witness replay ------------------------------------------------ *)
 
 let check_witness net (p : Certificate.property) ~output input =
@@ -55,15 +112,17 @@ let check_witness net (p : Certificate.property) ~output input =
 
 (* --- presolve replay ----------------------------------------------- *)
 
-let check_presolve net (p : Certificate.property) ~output coeffs =
-  if Array.length coeffs <> Nn.Network.input_dim net then
+let check_presolve r (p : Certificate.property) ~output coeffs =
+  if Array.length coeffs <> Nn.Network.input_dim r.net then
     Error "presolve form dimension mismatch"
   else if not (Array.for_all Float.is_finite coeffs) then
     Error "non-finite presolve form"
   else begin
     let bound =
-      try Checker.symbolic_output_upper net (box_of p) ~output
-      with Invalid_argument _ -> infinity
+      match Lazy.force r.uppers with
+      | Some uppers when output >= 0 && output < Array.length uppers ->
+          uppers.(output)
+      | Some _ | None -> infinity
     in
     if bound <= p.threshold +. audit_tol p.threshold then
       Ok
@@ -166,126 +225,116 @@ let check_coverage ~is_int ~lo0 ~hi0 (leaves : Certificate.leaf array) =
   if Array.length leaves = 0 then Error "coverage: no leaves recorded"
   else go 0 (List.init (Array.length leaves) Fun.id)
 
-let check_tree net (p : Certificate.property) ~output ~model_hash leaves =
-  match Checker.mode_of_string p.bound_mode with
-  | None -> Error (Printf.sprintf "unknown bound mode %S" p.bound_mode)
-  | Some mode -> (
-      match
-        try
-          Ok
-            (Encoding.Encoder.encode ~bound_mode:mode ~tighten_rounds:0 net
-               (box_of p))
-        with Invalid_argument m -> Error ("cannot rebuild encoding: " ^ m)
-      with
-      | Error _ as e -> e
-      | Ok enc ->
-          let fp = Certificate.model_fingerprint enc.Encoding.Encoder.model in
-          if fp <> model_hash then
-            Error
-              "stale certificate: rebuilt model fingerprint does not match"
-          else begin
-            let problem = Milp.Model.lp enc.Encoding.Encoder.model in
-            let rows = Lp.Problem.rows problem in
-            let lo0 = Lp.Problem.var_lo problem in
-            let hi0 = Lp.Problem.var_hi problem in
-            let n = Lp.Problem.num_vars problem in
-            let obj = Array.make n 0.0 in
-            (try
-               List.iter
-                 (fun (v, c) -> obj.(v) <- c)
-                 (Encoding.Encoder.output_objective enc output)
-             with Invalid_argument _ | Failure _ -> ());
-            let ints = Array.make n false in
-            List.iter
-              (fun v -> if v >= 0 && v < n then ints.(v) <- true)
-              (Milp.Model.integer_vars enc.Encoding.Encoder.model);
-            let tol = audit_tol p.threshold in
-            let check_leaf (leaf : Certificate.leaf) =
-              let lo = Array.copy lo0 and hi = Array.copy hi0 in
-              let bad = ref None in
-              Array.iter
-                (fun (v, flo, fhi) ->
-                  if v < 0 || v >= n || not (Float.is_finite flo)
-                     || not (Float.is_finite fhi)
-                  then bad := Some "malformed fix"
-                  else begin
-                    lo.(v) <- Float.max lo.(v) flo;
-                    hi.(v) <- Float.min hi.(v) fhi
-                  end)
-                leaf.Certificate.fixes;
-              match !bad with
-              | Some m -> Error m
-              | None ->
-                  if
-                    Array.exists2 (fun l h -> l > h) lo hi
-                  then Ok ()  (* leaf region certainly empty: vacuous *)
-                  else (
-                    match leaf.Certificate.evidence with
-                    | Certificate.Ev_bounded y -> (
-                        match
-                          Checker.dual_upper { rows; lo; hi; obj } y
-                        with
-                        | Error _ as e -> e
-                        | Ok ub ->
-                            if ub <= p.threshold +. tol then Ok ()
-                            else
-                              Error
-                                (Printf.sprintf
-                                   "leaf dual bound %.9g exceeds \
-                                    threshold %.9g"
-                                   ub p.threshold))
-                    | Certificate.Ev_infeasible y -> (
-                        match
-                          Checker.dual_upper
-                            { rows; lo; hi; obj = Array.make n 0.0 }
-                            y
-                        with
-                        | Error _ as e -> e
-                        | Ok ub ->
-                            if ub < 0.0 then Ok ()
-                            else
-                              Error
-                                "Farkas ray does not certify \
-                                 infeasibility under outward replay")
-                    | Certificate.Ev_empty_row i ->
-                        if Checker.row_certainly_empty { rows; lo; hi; obj } i
-                        then Ok ()
-                        else Error "claimed empty row is not certainly empty"
-                    | Certificate.Ev_unsupported reason ->
-                        Error ("uncertified leaf: " ^ reason))
-            in
-            let rec all i =
-              if i >= Array.length leaves then Ok ()
-              else
-                match check_leaf leaves.(i) with
-                | Error m -> Error (Printf.sprintf "leaf %d: %s" i m)
-                | Ok () -> all (i + 1)
-            in
-            match all 0 with
+let check_tree r (p : Certificate.property) ~output ~model_hash leaves =
+  match Lazy.force r.rebuilt with
+  | Error _ as e -> e
+  | Ok (enc, fp) ->
+      if fp <> model_hash then
+        Error
+          "stale certificate: rebuilt model fingerprint does not match"
+      else begin
+        let problem = Milp.Model.lp enc.Encoding.Encoder.model in
+        let rows = Lp.Problem.rows problem in
+        let lo0 = Lp.Problem.var_lo problem in
+        let hi0 = Lp.Problem.var_hi problem in
+        let n = Lp.Problem.num_vars problem in
+        let obj = Array.make n 0.0 in
+        (try
+           List.iter
+             (fun (v, c) -> obj.(v) <- c)
+             (Encoding.Encoder.output_objective enc output)
+         with Invalid_argument _ | Failure _ -> ());
+        let ints = Array.make n false in
+        List.iter
+          (fun v -> if v >= 0 && v < n then ints.(v) <- true)
+          (Milp.Model.integer_vars enc.Encoding.Encoder.model);
+        let tol = audit_tol p.threshold in
+        let check_leaf (leaf : Certificate.leaf) =
+          let lo = Array.copy lo0 and hi = Array.copy hi0 in
+          let bad = ref None in
+          Array.iter
+            (fun (v, flo, fhi) ->
+              if v < 0 || v >= n || not (Float.is_finite flo)
+                 || not (Float.is_finite fhi)
+              then bad := Some "malformed fix"
+              else begin
+                lo.(v) <- Float.max lo.(v) flo;
+                hi.(v) <- Float.min hi.(v) fhi
+              end)
+            leaf.Certificate.fixes;
+          match !bad with
+          | Some m -> Error m
+          | None ->
+              if
+                Array.exists2 (fun l h -> l > h) lo hi
+              then Ok ()  (* leaf region certainly empty: vacuous *)
+              else (
+                match leaf.Certificate.evidence with
+                | Certificate.Ev_bounded y -> (
+                    match
+                      Checker.dual_upper { rows; lo; hi; obj } y
+                    with
+                    | Error _ as e -> e
+                    | Ok ub ->
+                        if ub <= p.threshold +. tol then Ok ()
+                        else
+                          Error
+                            (Printf.sprintf
+                               "leaf dual bound %.9g exceeds \
+                                threshold %.9g"
+                               ub p.threshold))
+                | Certificate.Ev_infeasible y -> (
+                    match
+                      Checker.dual_upper
+                        { rows; lo; hi; obj = Array.make n 0.0 }
+                        y
+                    with
+                    | Error _ as e -> e
+                    | Ok ub ->
+                        if ub < 0.0 then Ok ()
+                        else
+                          Error
+                            "Farkas ray does not certify \
+                             infeasibility under outward replay")
+                | Certificate.Ev_empty_row i ->
+                    if Checker.row_certainly_empty { rows; lo; hi; obj } i
+                    then Ok ()
+                    else Error "claimed empty row is not certainly empty"
+                | Certificate.Ev_unsupported reason ->
+                    Error ("uncertified leaf: " ^ reason))
+        in
+        let rec all i =
+          if i >= Array.length leaves then Ok ()
+          else
+            match check_leaf leaves.(i) with
+            | Error m -> Error (Printf.sprintf "leaf %d: %s" i m)
+            | Ok () -> all (i + 1)
+        in
+        match all 0 with
+        | Error _ as e -> e
+        | Ok () -> (
+            match
+              check_coverage
+                ~is_int:(fun v -> ints.(v))
+                ~lo0 ~hi0 leaves
+            with
             | Error _ as e -> e
-            | Ok () -> (
-                match
-                  check_coverage
-                    ~is_int:(fun v -> ints.(v))
-                    ~lo0 ~hi0 leaves
-                with
-                | Error _ as e -> e
-                | Ok () ->
-                    Ok
-                      (Printf.sprintf
-                         "replayed %d leaves; tree covers the box"
-                         (Array.length leaves)))
-          end)
+            | Ok () ->
+                Ok
+                  (Printf.sprintf
+                     "replayed %d leaves; tree covers the box"
+                     (Array.length leaves)))
+      end
 
 (* --- one certificate ----------------------------------------------- *)
 
-let check_certificate net (cert : Certificate.t) =
-  let net_hash = Nn.Io.content_hash net in
-  if cert.Certificate.net_hash <> net_hash then
+(* [r] must have been built for the certificate's own property. *)
+let check_against r (cert : Certificate.t) =
+  if cert.Certificate.net_hash <> Lazy.force r.hash then
     Error "certificate is for a different network"
   else begin
     let p = cert.Certificate.property in
-    if Array.length p.box <> Nn.Network.input_dim net then
+    if Array.length p.box <> Nn.Network.input_dim r.net then
       Error "certificate box dimension mismatch"
     else if
       not
@@ -297,17 +346,25 @@ let check_certificate net (cert : Certificate.t) =
     else
       match cert.Certificate.body with
       | Certificate.Witness { input; achieved = _ } ->
-          check_witness net p ~output:cert.Certificate.output input
+          check_witness r.net p ~output:cert.Certificate.output input
       | Certificate.Presolve { coeffs; const = _; bound = _ } ->
-          check_presolve net p ~output:cert.Certificate.output coeffs
+          check_presolve r p ~output:cert.Certificate.output coeffs
       | Certificate.Milp_tree { model_hash; leaves } ->
-          check_tree net p ~output:cert.Certificate.output ~model_hash leaves
+          check_tree r p ~output:cert.Certificate.output ~model_hash leaves
   end
+
+(* A certificate about another question never sees this replay's
+   state: it gets a fresh replay of its own property. *)
+let check r (cert : Certificate.t) =
+  if same_property r.property cert.Certificate.property then check_against r cert
+  else check_against (replay r.net cert.Certificate.property) cert
+
+let check_certificate net (cert : Certificate.t) =
+  check_against (replay net cert.Certificate.property) cert
 
 (* --- full campaign audit -------------------------------------------- *)
 
-let run ~net ~dir =
-  let net_hash = Nn.Io.content_hash net in
+let run_dir ~net_hash ~net ~dir =
   let entries = Journal.load ~dir in
   (* Resume may append a later entry for the same component: last one
      wins, matching what the driver itself trusts. *)
@@ -324,6 +381,18 @@ let run ~net ~dir =
     match List.rev entries with e :: _ -> Some e.Journal.prop_hash | [] -> None
   in
   let total = ref None in
+  (* One replay per directory: every entry answers the campaign's
+     question, so its components share the outward pass and the
+     rebuild. *)
+  let shared = ref None in
+  let replay_for (p : Certificate.property) =
+    match !shared with
+    | Some r -> r
+    | None ->
+        let r = make ~net_hash:(Lazy.from_val net_hash) net p in
+        shared := Some r;
+        r
+  in
   let audit_entry (e : Journal.entry) =
     let status, detail =
       if e.net_hash <> net_hash then
@@ -364,7 +433,9 @@ let run ~net ~dir =
                           if !total = None then
                             total :=
                               Some cert.Certificate.property.components;
-                          match check_certificate net cert with
+                          match
+                            check (replay_for cert.Certificate.property) cert
+                          with
                           | Ok d -> (Confirmed, d)
                           | Error m -> (Rejected m, "")))))
         | other -> (Rejected (Printf.sprintf "unknown verdict %S" other), "")
@@ -394,6 +465,8 @@ let run ~net ~dir =
          components
   in
   { net_hash; components; total = !total; verdict; ok }
+
+let run ~net ~dir = run_dir ~net_hash:(Nn.Io.content_hash net) ~net ~dir
 
 let render r =
   let b = Buffer.create 512 in
@@ -494,7 +567,7 @@ let run_shard ~net ~dir ~name =
                           leaf_detail = "leaf directory answers a different question";
                         }
                     | _ ->
-                        let r = run ~net ~dir:leaf_dir in
+                        let r = run_dir ~net_hash ~net ~dir:leaf_dir in
                         {
                           leaf_index = i;
                           leaf_hash;

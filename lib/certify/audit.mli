@@ -36,19 +36,46 @@ type report = {
   ok : bool;  (** settled verdict and no rejected component *)
 }
 
-val check_certificate : Nn.Network.t -> Certificate.t -> (string, string) result
+type replay
+(** The replay state of one question — one network and one
+    {!Certificate.property}, shared by every certificate of that
+    question. It holds, each computed on first use and then kept: the
+    network's content hash, the independent outward bound of every
+    output over the box ({!Checker.symbolic_output_uppers}), and the
+    round-0 encoding the audit rebuilds itself ([tighten_rounds = 0])
+    with its model fingerprint. Nothing in it comes from a caller's
+    solver state: a replay rebuilds what it checks against, so sharing
+    it across the components of a question leaves the trusted base
+    unchanged. A replay is a plain value with no global registry; it
+    is not safe to force from two domains at once, so give each domain
+    its own. *)
+
+val replay : Nn.Network.t -> Certificate.property -> replay
+(** A fresh replay of one question. Cheap: nothing is computed until a
+    certificate needs it. *)
+
+val check : replay -> Certificate.t -> (string, string) result
 (** Replay one certificate body against the network: witness forward
     enclosure, independent outward symbolic bound, or full branch &
     bound tree replay (per-leaf dual/Farkas/empty-row evidence plus the
     coverage check that the recorded leaves tile the input box). [Ok]
-    carries a replay summary; [Error] the rejection reason. The
-    emitter calls this on freshly built certificates too, so a
-    certificate is never journaled unless it already replays. *)
+    carries a replay summary; [Error] the rejection reason. A
+    certificate whose property differs from the replay's (compared bit
+    for bit, box and threshold included) is checked against a fresh
+    replay of its own property, never against the shared state. The
+    driver calls this on freshly built certificates too, with one
+    replay per leaf question, so a certificate is never journaled
+    unless it already replays. *)
+
+val check_certificate : Nn.Network.t -> Certificate.t -> (string, string) result
+(** [check (replay net cert.property) cert]: one certificate with
+    nothing shared. *)
 
 val run : net:Nn.Network.t -> dir:string -> report
 (** Audit a whole campaign directory: load the journal (last entry per
     component wins), verify each entry's network and property hashes,
-    parse and replay its certificate, and aggregate the verdict. *)
+    parse and replay its certificate, and aggregate the verdict. The
+    directory's certificates share one {!replay}. *)
 
 val render : report -> string
 (** Plain-text per-component summary for the CLI and CI logs. *)

@@ -188,14 +188,13 @@ let chord_form s bu f =
     fk = Outward.add (Outward.mul s f.fk) bu;
   }
 
-let symbolic_output_upper net (box : Interval.Box.box) ~output =
+(* One pass over every neuron of every layer, outputs included; the
+   bound of each output is read off the last layer. *)
+let symbolic_output_uppers net (box : Interval.Box.box) =
   let d = Nn.Network.input_dim net in
   if Array.length box <> d then
-    invalid_arg "Checker.symbolic_output_upper: box dimension mismatch";
+    invalid_arg "Checker.symbolic_output_uppers: box dimension mismatch";
   let nlayers = Nn.Network.num_layers net in
-  let out_dim = Nn.Network.output_dim net in
-  if output < 0 || output >= out_dim then
-    invalid_arg "Checker.symbolic_output_upper: output index out of range";
   let blo = Array.map (fun (iv : Interval.t) -> iv.Interval.lo) box in
   let bhi = Array.map (fun (iv : Interval.t) -> iv.Interval.hi) box in
   let lower = ref (Array.init d (unit_form d)) in
@@ -284,7 +283,16 @@ let symbolic_output_upper net (box : Interval.Box.box) ~output =
     upper := new_upper;
     post := new_post
   done;
-  Float.min (eval_hi !upper.(output) blo bhi) !post.(output).Outward.hi
+  Array.mapi
+    (fun o (u : form) -> Float.min (eval_hi u blo bhi) !post.(o).Outward.hi)
+    !upper
+
+let symbolic_output_upper net (box : Interval.Box.box) ~output =
+  if Array.length box <> Nn.Network.input_dim net then
+    invalid_arg "Checker.symbolic_output_upper: box dimension mismatch";
+  if output < 0 || output >= Nn.Network.output_dim net then
+    invalid_arg "Checker.symbolic_output_upper: output index out of range";
+  (symbolic_output_uppers net box).(output)
 
 (* ------------------------------------------------------------------ *)
 (* Bound-mode naming shared by the emitter and the audit.              *)

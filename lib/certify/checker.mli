@@ -31,15 +31,23 @@ val forward_enclosure : Nn.Network.t -> float array -> Outward.iv array
 (** Outward enclosure of the network outputs at a concrete input —
     witness replay. Raises [Invalid_argument] on dimension mismatch. *)
 
-val symbolic_output_upper :
-  Nn.Network.t -> Interval.Box.box -> output:int -> float
+val symbolic_output_uppers : Nn.Network.t -> Interval.Box.box -> float array
 (** Independent outward DeepPoly: per-neuron lower/upper linear forms
     over the inputs with {e interval} coefficients (each step absorbs
     its own rounding; composition stays sound because interval
     operations contain every coefficient selection), intersected with
     plain outward interval propagation. Returns a guaranteed upper
-    bound on the chosen output over the box — the audit-side
-    counterpart of {!Absint.Symbolic}, sharing no code with it. *)
+    bound on every output over the box, indexed by output — the
+    audit-side counterpart of {!Absint.Symbolic}, sharing no code with
+    it. The pass covers every neuron whichever output is wanted, so a
+    caller needing several outputs of one box runs it once. Raises
+    [Invalid_argument] on a box of the wrong dimension. *)
+
+val symbolic_output_upper :
+  Nn.Network.t -> Interval.Box.box -> output:int -> float
+(** One output of {!symbolic_output_uppers}, bit for bit. Raises
+    [Invalid_argument] on a box of the wrong dimension or an output
+    index out of range. *)
 
 val mode_string : Encoding.Encoder.bound_mode -> string
 val mode_of_string : string -> Encoding.Encoder.bound_mode option

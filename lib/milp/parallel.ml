@@ -199,6 +199,13 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
       let nodes = Atomic.make 0 in
       let lp_iters = Atomic.make 0 in
       let first : (int * float) option Atomic.t = Atomic.make None in
+      (* Max parent bound over nodes whose LP hit its iteration limit
+         (see {!Solver.conclude}). *)
+      let lost_bound = Atomic.make neg_infinity in
+      let rec lose b =
+        let cur = Atomic.get lost_bound in
+        if b > cur && not (Atomic.compare_and_set lost_bound cur b) then lose b
+      in
       let incumbent_value () =
         match Atomic.get best with Some (_, v) -> v | None -> cutoff
       in
@@ -248,7 +255,10 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
               ignore
                 (Atomic.fetch_and_add lp_iters relax.Lp.Simplex.iterations);
               match relax.Lp.Simplex.status with
-              | Lp.Simplex.Infeasible | Lp.Simplex.Iteration_limit -> []
+              | Lp.Simplex.Infeasible -> []
+              | Lp.Simplex.Iteration_limit ->
+                  lose node.Search.parent_bound;
+                  []
               | Lp.Simplex.Optimal ->
                   let lp_bound = relax.Lp.Simplex.objective in
                   let bound =
@@ -412,17 +422,9 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
         | Some b -> b
         | None -> neg_infinity
       in
-      let best_bound =
-        match incumbent with
-        | Some (_, v) -> Float.max v open_bound
-        | None -> Float.max cutoff open_bound
-      in
-      let outcome =
-        match !stopped with
-        | Some o -> o
-        | None ->
-            if incumbent = None && cutoff = neg_infinity then Infeasible
-            else Optimal
+      let outcome, best_bound =
+        Solver.conclude ~stopped:!stopped ~eps ~cutoff ~incumbent ~open_bound
+          ~lost_bound:(Atomic.get lost_bound)
       in
       {
         outcome;

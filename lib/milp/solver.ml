@@ -23,6 +23,21 @@ type leaf_cert =
   | Leaf_empty_row of int
   | Leaf_uncertified of string
 
+let conclude ~stopped ~eps ~cutoff ~incumbent ~open_bound ~lost_bound =
+  let floor = match incumbent with Some (_, v) -> v | None -> cutoff in
+  let outcome =
+    match stopped with
+    | Some o -> o
+    | None ->
+        (* A lost subtree the final incumbent would prune anyway costs
+           nothing. With a finite cutoff, an empty incumbent is a proof
+           that the optimum is <= cutoff, not infeasibility. *)
+        if lost_bound > floor +. eps then Time_limit
+        else if incumbent = None && cutoff = neg_infinity then Infeasible
+        else Optimal
+  in
+  (outcome, Float.max floor (Float.max open_bound lost_bound))
+
 let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
     ?(int_eps = 1e-6) ?(branch_rule = Most_fractional) ?(depth_first = false)
     ?(cutoff = neg_infinity) ?primal_heuristic ?node_bound ?objective
@@ -48,6 +63,7 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
   push Search.root;
   let incumbent = ref None in
   let incumbent_value = ref cutoff in
+  let lost_bound = ref neg_infinity in
   let nodes = ref 0 in
   let lp_iters = ref 0 in
   let first_incumbent = ref None in
@@ -84,12 +100,10 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
     | Some b -> b
     | None -> neg_infinity
   in
-  let finish outcome =
-    let bound =
-      let open_bound = best_open_bound () in
-      match !incumbent with
-      | Some _ -> Float.max !incumbent_value open_bound
-      | None -> Float.max cutoff open_bound
+  let finish stopped =
+    let outcome, bound =
+      conclude ~stopped ~eps ~cutoff ~incumbent:!incumbent
+        ~open_bound:(best_open_bound ()) ~lost_bound:!lost_bound
     in
     {
       outcome;
@@ -104,16 +118,11 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
     }
   in
   let rec loop () =
-    if Linalg.Mclock.now () -. start > time_limit then finish Time_limit
-    else if !nodes >= node_limit then finish Node_limit
+    if Linalg.Mclock.now () -. start > time_limit then finish (Some Time_limit)
+    else if !nodes >= node_limit then finish (Some Node_limit)
     else
       match pop () with
-      | None ->
-          (* Exhausted search: with a finite cutoff, an empty incumbent
-             is a proof that the optimum is <= cutoff, not
-             infeasibility. *)
-          if !incumbent = None && cutoff = neg_infinity then finish Infeasible
-          else finish Optimal
+      | None -> finish None
       | Some node ->
           if node.Search.parent_bound <= !incumbent_value +. eps then begin
             (* Pruned by an incumbent found after this node was queued. *)
@@ -154,6 +163,10 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
                 | Lp.Simplex.Infeasible ->
                     relax_leaf node.Search.fixes relax ~bounded:false
                 | Lp.Simplex.Iteration_limit ->
+                    (* Neither bounded nor branched: the subtree stays
+                       open (see {!conclude}). *)
+                    lost_bound :=
+                      Float.max !lost_bound node.Search.parent_bound;
                     leaf node.Search.fixes
                       (Leaf_uncertified "lp iteration limit")
                 | Lp.Simplex.Optimal ->

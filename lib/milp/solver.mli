@@ -59,6 +59,26 @@ type leaf_cert =
           downgrade the proof when it sees one *)
 (** Evidence closing one leaf of the explored branch-and-bound tree. *)
 
+val conclude :
+  stopped:outcome option ->
+  eps:float ->
+  cutoff:float ->
+  incumbent:(float array * float) option ->
+  open_bound:float ->
+  lost_bound:float ->
+  outcome * float
+(** The outcome and [best_bound] a search reports when it ends —
+    shared by {!solve} and {!Parallel.solve}. [stopped] is the limit
+    that fired, [None] for an exhausted pool; [open_bound] the best
+    bound still open ([neg_infinity] for none); [lost_bound] the
+    largest parent bound of a node whose LP relaxation stopped at its
+    iteration limit ([neg_infinity] for none). Such a node was neither
+    bounded nor branched, so its subtree stays in the bound, and an
+    exhausted search that lost a subtree the incumbent (or [cutoff])
+    does not dominate by more than [eps] reports [Time_limit] instead
+    of [Optimal] or [Infeasible]: its incumbent and bound are valid,
+    but nothing is proved. *)
+
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->

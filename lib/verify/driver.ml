@@ -470,7 +470,11 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
        certificate that would not survive the audit is still written
        (the rejection stays explainable) but is journaled as [unknown] —
        neither a resume nor the proof store may ever trust a verdict
-       whose own evidence does not replay. Returns whether it replayed. *)
+       whose own evidence does not replay. Returns whether it replayed.
+       The leaf's components share one replay of the leaf question —
+       one outward bound pass and one encoder rebuild of its own, never
+       this driver's encodings or analysis. *)
+    let replay = Certify.Audit.replay net leaf_props.(idx) in
     let emit ~dir k verdict body =
       let cert =
         {
@@ -481,7 +485,7 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
           body;
         }
       in
-      let audited = Result.is_ok (Certify.Audit.check_certificate net cert) in
+      let audited = Result.is_ok (Certify.Audit.check replay cert) in
       if audited then incr certified;
       let name = Printf.sprintf "component-%d.cert" k in
       Certify.Journal.write_cert ~dir ~name

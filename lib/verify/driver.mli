@@ -118,8 +118,12 @@ type proof_result = {
           search ran for them *)
   certified : int;
       (** components whose emitted certificate passed the in-process
-          {!Certify.Audit.check_certificate} replay; [0] in a run that
-          keeps no evidence *)
+          {!Certify.Audit.check} replay; [0] in a run that keeps no
+          evidence. The components of one leaf question share one
+          {!Certify.Audit.replay}, which rebuilds its own encoding and
+          outward bounds rather than reading the driver's, so the count
+          is what {!Certify.Audit.check_certificate} would give for each
+          certificate alone *)
   resumed : int;
       (** components skipped because a valid journal entry from a
           previous run of the same question already settled them *)

@@ -102,6 +102,82 @@ let test_outward_sup_extreme_dominates () =
     if exact > u then Alcotest.fail "sup_extreme under-approximated"
   done
 
+(* {1 Outward symbolic bound: one pass for every output} *)
+
+let bits = Int64.bits_of_float
+
+(* A random small net: one to three layers of width one to five, each
+   with a random activation among the four the checker replays, about
+   one weight in five exactly zero. *)
+let random_net rng =
+  let depth = 1 + Linalg.Rng.int rng 3 in
+  let dims = Array.init (depth + 1) (fun _ -> 1 + Linalg.Rng.int rng 5) in
+  let acts =
+    [| Nn.Activation.Relu; Nn.Activation.Identity; Nn.Activation.Tanh;
+       Nn.Activation.Sigmoid |]
+  in
+  Nn.Network.make
+    (Array.init depth (fun l ->
+         let w =
+           Linalg.Mat.init dims.(l + 1) dims.(l) (fun _ _ ->
+               if Linalg.Rng.int rng 5 = 0 then 0.0
+               else Linalg.Rng.uniform rng (-2.0) 2.0)
+         in
+         let b = Array.init dims.(l + 1) (fun _ -> Linalg.Rng.uniform rng (-1.0) 1.0) in
+         Nn.Layer.make w b acts.(Linalg.Rng.int rng 4)))
+
+(* A random sub-box of [-1.5, 1.5]^d; about one dimension in four has
+   zero width. *)
+let random_box rng d =
+  Array.init d (fun _ ->
+      let c = Linalg.Rng.uniform rng (-1.0) 1.0 in
+      if Linalg.Rng.int rng 4 = 0 then Interval.make c c
+      else
+        let w = Linalg.Rng.uniform rng 0.0 0.5 in
+        Interval.make (c -. w) (c +. w))
+
+(* Every output of the all-outputs pass, and its one-output projection,
+   equals the per-output oracle bit for bit. *)
+let uppers_match_oracle net b =
+  let uppers = Certify.Checker.symbolic_output_uppers net b in
+  Array.length uppers = Nn.Network.output_dim net
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun output u ->
+            let want = Checker_oracle.symbolic_output_upper net b ~output in
+            bits u = bits want
+            && bits (Certify.Checker.symbolic_output_upper net b ~output)
+               = bits want)
+          uppers)
+
+let prop_symbolic_uppers_bit_identical =
+  QCheck.Test.make ~count:300
+    ~name:"all-outputs symbolic bound equals the per-output oracle bit for bit"
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let net = random_net rng in
+      uppers_match_oracle net (random_box rng (Nn.Network.input_dim net)))
+
+(* The same on a paper-sized predictor over the scenario box, where
+   many neurons are unstable and the forms are 84 wide. *)
+let test_symbolic_uppers_i4x10 () =
+  let net = Nn.Network.i4xn ~rng:(Linalg.Rng.create 9) 10 in
+  List.iter
+    (fun slack ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slack %g: bit-identical" slack)
+        true
+        (uppers_match_oracle net (Verify.Scenario.vehicle_on_left ~slack ())))
+    [ 0.01; 0.05 ];
+  match
+    Certify.Checker.symbolic_output_upper net
+      (Verify.Scenario.vehicle_on_left ())
+      ~output:(Nn.Network.output_dim net)
+  with
+  | _ -> Alcotest.fail "output index out of range accepted"
+  | exception Invalid_argument _ -> ()
+
 (* {1 LP certificate replay, both cores} *)
 
 let view_of p =
@@ -217,9 +293,51 @@ let test_certificate_mutation_rejected () =
   | Ok _ -> Alcotest.fail "truncated certificate accepted"
   | Error _ -> ()
 
+(* {1 Per-question replay} *)
+
+let result_string = function Ok d -> "ok: " ^ d | Error m -> "error: " ^ m
+
+(* [check] through a fresh replay of the certificate's own question
+   agrees with the unshared [check_certificate], and so does a second
+   check through the same (now forced) replay. *)
+let check_replay_agrees net (cert : Certify.Certificate.t) =
+  let expected = result_string (Certify.Audit.check_certificate net cert) in
+  let r = Certify.Audit.replay net cert.Certify.Certificate.property in
+  Alcotest.(check string) "fresh replay agrees" expected
+    (result_string (Certify.Audit.check r cert));
+  Alcotest.(check string) "forced replay agrees" expected
+    (result_string (Certify.Audit.check r cert))
+
+let dir_certificates dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".cert")
+  |> List.filter_map (fun name ->
+         match Certify.Journal.read_cert ~dir ~name with
+         | Error _ -> None
+         | Ok blob -> Result.to_option (Certify.Certificate.of_string blob))
+
+(* Every parseable certificate of a directory: alone, and all of them
+   in turn through the one replay of the first one's question — the
+   sharing [Audit.run] and the driver do. *)
+let check_dir_replays_agree net dir =
+  let certs = dir_certificates dir in
+  List.iter (check_replay_agrees net) certs;
+  match certs with
+  | [] -> ()
+  | first :: _ ->
+      let shared = Certify.Audit.replay net first.Certify.Certificate.property in
+      List.iter
+        (fun cert ->
+          Alcotest.(check string) "shared replay agrees"
+            (result_string (Certify.Audit.check_certificate net cert))
+            (result_string (Certify.Audit.check shared cert)))
+        certs
+
 let test_wrong_network_rejected () =
   let net = mini_predictor 13 in
   let cert = { (sample_cert net) with Certify.Certificate.net_hash = "feedfacefeedface" } in
+  check_replay_agrees net cert;
+  check_replay_agrees net (sample_cert net);
   match Certify.Audit.check_certificate net cert with
   | Ok _ -> Alcotest.fail "stale certificate accepted"
   | Error _ -> ()
@@ -295,6 +413,8 @@ let test_certified_proof_audits () =
   let rep = Certify.Audit.run ~net ~dir in
   Alcotest.(check bool) "audit confirms" true
     (rep.Certify.Audit.verdict = `Proved && rep.Certify.Audit.ok);
+  check_dir_replays_agree net dir;
+  check_dir_replays_agree (mini_predictor 62) dir;
   (* The audit must reject the same directory replayed against a
      different network. *)
   let other = Certify.Audit.run ~net:(mini_predictor 62) ~dir in
@@ -325,7 +445,8 @@ let test_mutated_certificate_fails_audit () =
   Alcotest.(check bool) "mutated certificate rejected" true
     (not rep.Certify.Audit.ok);
   Alcotest.(check bool) "verdict withdrawn" true
-    (rep.Certify.Audit.verdict <> `Proved)
+    (rep.Certify.Audit.verdict <> `Proved);
+  check_dir_replays_agree net dir
 
 let test_disproof_witness_audits () =
   let net = mini_predictor 64 in
@@ -340,7 +461,8 @@ let test_disproof_witness_audits () =
    | _ -> Alcotest.fail "expected a falsification");
   let rep = Certify.Audit.run ~net ~dir in
   Alcotest.(check bool) "audit confirms the witness" true
-    (rep.Certify.Audit.verdict = `Disproved && rep.Certify.Audit.ok)
+    (rep.Certify.Audit.verdict = `Disproved && rep.Certify.Audit.ok);
+  check_dir_replays_agree net dir
 
 let journal_lines dir =
   let path = Filename.concat dir "journal.log" in
@@ -378,6 +500,7 @@ let test_resume_after_kill () =
   let rep = Certify.Audit.run ~net ~dir in
   Alcotest.(check bool) "audit confirms after resume" true
     (rep.Certify.Audit.verdict = `Proved && rep.Certify.Audit.ok);
+  check_dir_replays_agree net dir;
   (* A third run resumes everything and does no solving at all. *)
   let p3 = prove ~certify_dir:dir ~threshold net b0 in
   Alcotest.(check int) "everything resumed" 2 p3.Verify.Driver.resumed;
@@ -401,7 +524,89 @@ let test_watchdog_same_verdict () =
   Alcotest.(check bool) "certified watchdog proves" true
     (pc.Verify.Driver.proof = Verify.Driver.Proved);
   let rep = Certify.Audit.run ~net ~dir in
-  Alcotest.(check bool) "audit confirms" true rep.Certify.Audit.ok
+  Alcotest.(check bool) "audit confirms" true rep.Certify.Audit.ok;
+  check_dir_replays_agree net dir
+
+(* A replay never lends one question's state to another. Certificates
+   of a proved campaign are replayed through their question's replay
+   after it is forced; the same certificates with a mutated box or
+   bound mode must then get exactly the unshared verdict — for a
+   search-tree certificate a rejection (the rebuilt model no longer
+   matches), which the forced state would wrongly confirm. In the
+   directory, such a certificate is rejected exactly as before. *)
+let test_replay_never_lends_state () =
+  let net = mini_predictor 69 in
+  let b0 = box 6 0.3 in
+  let v = exact_max net b0 in
+  let dir = fresh_dir "lend" in
+  let p = prove ~certify_dir:dir ~threshold:(v +. 0.05) net b0 in
+  Alcotest.(check bool) "proved" true (p.Verify.Driver.proof = Verify.Driver.Proved);
+  let certs = dir_certificates dir in
+  let trees =
+    List.filter
+      (fun (c : Certify.Certificate.t) ->
+        match c.Certify.Certificate.body with
+        | Certify.Certificate.Milp_tree _ -> true
+        | _ -> false)
+      certs
+  in
+  Alcotest.(check bool) "premise: a search-tree certificate" true (trees <> []);
+  let grown (q : Certify.Certificate.property) =
+    { q with box = Array.map (fun (lo, hi) -> (lo -. 0.1, hi +. 0.1)) q.box }
+  in
+  let remoded (q : Certify.Certificate.property) =
+    let other = if q.bound_mode = "interval" then "symbolic" else "interval" in
+    { q with bound_mode = other }
+  in
+  let nan_threshold (q : Certify.Certificate.property) =
+    { q with threshold = Float.nan }
+  in
+  let mutated mutate (c : Certify.Certificate.t) =
+    { c with property = mutate c.Certify.Certificate.property }
+  in
+  List.iter
+    (fun (c : Certify.Certificate.t) ->
+      let r = Certify.Audit.replay net c.Certify.Certificate.property in
+      (match Certify.Audit.check r c with
+       | Ok _ -> ()
+       | Error m -> Alcotest.fail ("genuine certificate rejected: " ^ m));
+      List.iter
+        (fun mutate ->
+          let c' = mutated mutate c in
+          let alone = result_string (Certify.Audit.check_certificate net c') in
+          Alcotest.(check string) "mutated property: unshared verdict" alone
+            (result_string (Certify.Audit.check r c'));
+          check_replay_agrees net c')
+        [ grown; remoded; nan_threshold ])
+    certs;
+  List.iter
+    (fun (c : Certify.Certificate.t) ->
+      List.iter
+        (fun mutate ->
+          match Certify.Audit.check_certificate net (mutated mutate c) with
+          | Ok _ -> Alcotest.fail "mutated tree certificate confirmed"
+          | Error _ -> ())
+        [ grown; remoded ])
+    trees;
+  (* In the directory: rewrite one certificate, validly serialised, with
+     its box grown. *)
+  let victim = List.hd trees in
+  let name = Printf.sprintf "component-%d.cert" victim.Certify.Certificate.component in
+  Certify.Journal.write_cert ~dir ~name
+    (Certify.Certificate.to_string (mutated grown victim));
+  let rep = Certify.Audit.run ~net ~dir in
+  Alcotest.(check bool) "audit withdraws the proof" true
+    ((not rep.Certify.Audit.ok) && rep.Certify.Audit.verdict <> `Proved);
+  List.iter
+    (fun (cr : Certify.Audit.component_report) ->
+      if cr.Certify.Audit.component = victim.Certify.Certificate.component then
+        Alcotest.(check bool) "rejected for its property" true
+          (cr.Certify.Audit.status
+          = Certify.Audit.Rejected "certificate property hash mismatch")
+      else
+        Alcotest.(check bool) "the other component still confirms" true
+          (cr.Certify.Audit.status = Certify.Audit.Confirmed))
+    rep.Certify.Audit.components
 
 (* {1 The settle ladder's rungs} *)
 
@@ -496,7 +701,8 @@ let test_raising_rungs_degrade_to_unknown () =
         (fun dir ->
           let rep = Certify.Audit.run ~net ~dir in
           Alcotest.(check bool) (mode ^ ": audit does not prove") true
-            (rep.Certify.Audit.verdict <> `Proved))
+            (rep.Certify.Audit.verdict <> `Proved);
+          check_dir_replays_agree net dir)
         certify_dir)
     [ None; Some (fresh_dir "ladder_raise") ]
 
@@ -537,7 +743,10 @@ let () =
             test_timeout_ends_ladder_with_bound;
           slow "raising rungs degrade to unknown"
             test_raising_rungs_degrade_to_unknown;
+          slow "replay never lends state" test_replay_never_lends_state;
         ] );
+      ("symbolic", [ quick "I4x10 bit-identical" test_symbolic_uppers_i4x10 ]);
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_lp_certs_replay_both_cores ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lp_certs_replay_both_cores; prop_symbolic_uppers_bit_identical ] );
     ]

@@ -884,6 +884,45 @@ let test_sparse_warm_resolve_beats_dense () =
        (1e3 *. sparse_s) (1e3 *. dense_s))
     true (sparse_s < dense_s)
 
+(* A node whose LP stops at its iteration limit leaves its subtree
+   open. No solver option forces that limit, so the contract is checked
+   on the shared conclusion both solvers end with. *)
+let test_conclude_keeps_lost_subtree () =
+  let conclude ?stopped ?(cutoff = neg_infinity) ?incumbent
+      ?(open_bound = neg_infinity) lost_bound =
+    Milp.Solver.conclude ~stopped ~eps:1e-6 ~cutoff ~incumbent ~open_bound
+      ~lost_bound
+  in
+  let expect name (want_outcome, want_bound) (outcome, bound) =
+    Alcotest.(check string) (name ^ ": outcome") (outcome_name want_outcome)
+      (outcome_name outcome);
+    Alcotest.(check (float 0.0)) (name ^ ": bound") want_bound bound
+  in
+  let point = Some ([| 1.0 |], 2.0) in
+  (* Nothing lost: the verdicts the solvers always gave. *)
+  expect "cutoff proof" (Milp.Solver.Optimal, 3.0) (conclude ~cutoff:3.0 neg_infinity);
+  expect "no incumbent, no cutoff" (Milp.Solver.Infeasible, neg_infinity)
+    (conclude neg_infinity);
+  expect "optimum" (Milp.Solver.Optimal, 2.0) (conclude ?incumbent:point neg_infinity);
+  expect "limit fired" (Milp.Solver.Time_limit, 5.0)
+    (conclude ~stopped:Milp.Solver.Time_limit ?incumbent:point ~open_bound:5.0
+       neg_infinity);
+  (* A lost subtree above the cutoff: the decision is not proved, and
+     its bound stays in [best_bound]. *)
+  expect "lost above cutoff" (Milp.Solver.Time_limit, 4.0) (conclude ~cutoff:3.0 4.0);
+  expect "lost, no incumbent" (Milp.Solver.Time_limit, 4.0) (conclude 4.0);
+  expect "lost above incumbent" (Milp.Solver.Time_limit, 4.0)
+    (conclude ?incumbent:point 4.0);
+  expect "lost, open nodes" (Milp.Solver.Time_limit, 6.0)
+    (conclude ~cutoff:3.0 ~open_bound:6.0 4.0);
+  expect "lost under a fired limit" (Milp.Solver.Node_limit, 4.0)
+    (conclude ~stopped:Milp.Solver.Node_limit ~cutoff:3.0 ~open_bound:3.5 4.0);
+  (* A lost subtree the incumbent dominates would have been pruned. *)
+  expect "lost below incumbent" (Milp.Solver.Optimal, 2.0)
+    (conclude ?incumbent:point 1.5);
+  expect "lost within eps of the cutoff" (Milp.Solver.Optimal, 3.0 +. 1e-7)
+    (conclude ~cutoff:3.0 (3.0 +. 1e-7))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "milp"
@@ -908,6 +947,7 @@ let () =
           quick "node bound empty subtree" test_node_bound_empty_subtree_prunes;
           quick "node bound min sense" test_node_bound_solve_min_sense;
           quick "first incumbent reported" test_first_incumbent_reported;
+          quick "lost subtree is not optimal" test_conclude_keeps_lost_subtree;
         ] );
       ("model", [ quick "bookkeeping" test_model_bookkeeping ]);
       ( "search",

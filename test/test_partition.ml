@@ -12,6 +12,14 @@ let box dim radius = Array.make dim (Interval.make (-.radius) radius)
 let mini_predictor seed =
   small_net seed [ 6; 8; 8; Nn.Gmm.output_dim ~components:2 ]
 
+(* The audit's own outward symbolic bound on the larger lateral-velocity
+   component over [b0], from one pass over the network. *)
+let audit_upper net b0 =
+  let uppers = Certify.Checker.symbolic_output_uppers net b0 in
+  Float.max
+    uppers.(Nn.Gmm.mu_lat_index ~components:2 0)
+    uppers.(Nn.Gmm.mu_lat_index ~components:2 1)
+
 let exact_max net b0 =
   Option.get
     (Verify.Driver.max_lateral_velocity ~components:2 net b0)
@@ -209,6 +217,126 @@ let prop_split_never_flips =
       | Some a, Some b -> a = b
       | _ -> true)
 
+(* Certification directories under [root]: [root] itself when it holds
+   a journal, and every leaf directory below it. *)
+let cert_dirs root =
+  let has_journal d = Sys.file_exists (Filename.concat d "journal.log") in
+  let below =
+    Sys.readdir root |> Array.to_list |> List.sort compare
+    |> List.map (Filename.concat root)
+    |> List.filter (fun d -> Sys.is_directory d && has_journal d)
+  in
+  if has_journal root then root :: below else below
+
+(* The driver self-checks each leaf's certificates through one shared
+   replay of the leaf question. Every journal line must be what an
+   unshared [check_certificate] of its certificate gives, and the
+   [certified]/[presolved] counts must add up the same way:
+
+   - a component's last certificate-bearing line claims the verdict of
+     its certificate's body exactly when that certificate replays
+     alone, and reads [unknown] otherwise;
+   - an earlier certificate-bearing line is a presolve self-check that
+     failed before the MILP rung wrote over the file: it reads
+     [unknown], and a presolve certificate of the same question and
+     output must indeed fail alone (a presolve replay reads only the
+     question, the output and the form's shape). *)
+let check_self_checks_unshared net root (r : Verify.Driver.proof_result) =
+  let certified = ref 0 and presolved = ref 0 in
+  List.iter
+    (fun dir ->
+      let entries = Certify.Journal.load ~dir in
+      let with_cert =
+        List.filter_map
+          (fun (e : Certify.Journal.entry) ->
+            Option.map (fun name -> (e, name)) e.Certify.Journal.cert_file)
+          entries
+      in
+      let components =
+        List.sort_uniq compare
+          (List.map (fun ((e : Certify.Journal.entry), _) -> e.component) with_cert)
+      in
+      List.iter
+        (fun k ->
+          let lines =
+            List.filter
+              (fun ((e : Certify.Journal.entry), _) -> e.component = k)
+              with_cert
+          in
+          let last_e, name = List.nth lines (List.length lines - 1) in
+          let cert =
+            match Certify.Journal.read_cert ~dir ~name with
+            | Error m -> Alcotest.fail m
+            | Ok blob -> (
+                match Certify.Certificate.of_string blob with
+                | Error m -> Alcotest.fail m
+                | Ok c -> c)
+          in
+          let alone = Result.is_ok (Certify.Audit.check_certificate net cert) in
+          let claimed, presolve =
+            match cert.Certify.Certificate.body with
+            | Certify.Certificate.Witness _ -> ("disproved", false)
+            | Certify.Certificate.Presolve _ -> ("proved", true)
+            | Certify.Certificate.Milp_tree _ -> ("proved", false)
+          in
+          Alcotest.(check string) "last line: the unshared self-check"
+            (if alone then claimed else "unknown")
+            last_e.Certify.Journal.verdict;
+          if alone then begin
+            incr certified;
+            if presolve then incr presolved
+          end;
+          List.iteri
+            (fun i ((e : Certify.Journal.entry), _) ->
+              if i < List.length lines - 1 then begin
+                Alcotest.(check string) "earlier line: a failed self-check"
+                  "unknown" e.Certify.Journal.verdict;
+                let lost =
+                  {
+                    cert with
+                    Certify.Certificate.body =
+                      Certify.Certificate.Presolve
+                        {
+                          coeffs = Array.make (Nn.Network.input_dim net) 0.0;
+                          const = 0.0;
+                          bound = 0.0;
+                        };
+                  }
+                in
+                Alcotest.(check bool) "the overwritten presolve fails alone"
+                  false
+                  (Result.is_ok (Certify.Audit.check_certificate net lost))
+              end)
+            lines)
+        components)
+    (cert_dirs root);
+  Alcotest.(check int) "certified: unshared count" !certified
+    r.Verify.Driver.certified;
+  Alcotest.(check int) "presolved: unshared count" !presolved
+    r.Verify.Driver.presolved
+
+(* On the never-flip nets, monolithic and partitioned certified runs. *)
+let prop_self_check_matches_unshared =
+  QCheck.Test.make ~name:"shared self-check journals what unshared checks would"
+    ~count:8
+    (QCheck.make
+       QCheck.Gen.(triple (int_range 0 999) (int_range 6 10) (float_range (-0.3) 0.3)))
+    (fun (seed, width, dt) ->
+      let net = small_net seed [ 6; width; Nn.Gmm.output_dim ~components:2 ] in
+      let b0 = box 6 0.25 in
+      let threshold = exact_max net b0 +. dt in
+      with_tmpdir @@ fun dir ->
+      List.iter
+        (fun (name, split) ->
+          let root = Filename.concat dir name in
+          let r =
+            Verify.Driver.prove_lateral_velocity_le ~certify_dir:root
+              ~components:2 ~threshold ?split net b0
+          in
+          check_self_checks_unshared net root r)
+        [ ("mono", None); ("part", Some (Verify.Partition.Depth 1)) ];
+      true)
+
 (* The pre-pass runs before OBBT: a plain decision that the untightened
    symbolic bound already discharges pays for no OBBT round, so it
    finishes within a small multiple of the certified run of the same
@@ -220,15 +348,7 @@ let test_prepass_before_obbt () =
   let b0 = box 6 1.0 in
   (* Headroom above the audit's own outward symbolic bound, so the
      certified run's presolve certificates replay too. *)
-  let threshold =
-    List.fold_left
-      (fun acc k ->
-        Float.max acc
-          (Certify.Checker.symbolic_output_upper net b0
-             ~output:(Nn.Gmm.mu_lat_index ~components:2 k)))
-      neg_infinity [ 0; 1 ]
-    +. 0.1
-  in
+  let threshold = audit_upper net b0 +. 0.1 in
   let timed f =
     let t0 = Linalg.Mclock.now () in
     let r = f () in
@@ -337,15 +457,7 @@ let test_shard_pipeline_cache_and_revalidation () =
   (* Headroom above the whole-box outward symbolic bound, so every leaf
      discharges by presolve and the nudged network can revalidate them
      (a leaf that needed a MILP cannot be revalidated, only re-solved). *)
-  let threshold =
-    let ub = ref neg_infinity in
-    for k = 0 to 1 do
-      let output = Nn.Gmm.mu_lat_index ~components:2 k in
-      ub :=
-        Float.max !ub (Certify.Checker.symbolic_output_upper net b0 ~output)
-    done;
-    !ub +. 0.5
-  in
+  let threshold = audit_upper net b0 +. 0.5 in
   let prove ?(net = net) () =
     Verify.Driver.prove_lateral_velocity_le ~components:2 ~threshold
       ~bound_mode:symbolic ~split:(Verify.Partition.Depth 2) ~certify_dir:dir
@@ -483,5 +595,6 @@ let () =
           slow "audit rejects tampering" test_shard_audit_rejects_tampering;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_split_never_flips ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_split_never_flips; prop_self_check_matches_unshared ] );
     ]
