@@ -101,34 +101,6 @@ let batch_arg =
 
 let components = 3
 
-(* {1 LP core} *)
-
-let lp_core_conv =
-  let parse s =
-    match Lp.Simplex.core_of_string s with
-    | Some c -> Ok c
-    | None -> Error (`Msg "expected 'sparse' or 'dense'")
-  in
-  let print ppf c = Format.pp_print_string ppf (Lp.Simplex.core_to_string c) in
-  Arg.conv (parse, print)
-
-let lp_core_arg =
-  Arg.(
-    value
-    & opt (some lp_core_conv) None
-    & info [ "lp-core" ] ~docv:"CORE"
-        ~env:(Cmd.Env.info "DEPNN_LP_CORE")
-        ~doc:
-          "LP engine behind every relaxation solve: $(b,sparse) (revised \
-           simplex on a factored basis — the default) or $(b,dense) \
-           (Gauss-Jordan tableau, the reference oracle). The sparse core \
-           falls back to dense on any numerical doubt, so results are \
-           identical; only wall-clock differs.")
-
-(* Make the choice global before any solve runs, so OBBT probes, node
-   re-solves and envelope proofs all use the same engine. *)
-let apply_lp_core = Option.iter Lp.Simplex.set_default_core
-
 (* {1 bound modes} *)
 
 let bound_mode_name = function
@@ -311,16 +283,14 @@ let net_arg =
     & info [] ~docv:"NETWORK" ~doc:"Trained network file (depnn-network v1).")
 
 let verify net_path threshold time_limit slack cores portfolio bound_mode
-    lp_core certify_dir split =
-  apply_lp_core lp_core;
+    certify_dir split =
   let net = Nn.Io.load net_path in
-  Printf.printf "verifying %s (%s, %s bounds, %s lp core)\n"
+  Printf.printf "verifying %s (%s, %s bounds)\n"
     (Nn.Network.describe net)
     (match portfolio with
      | Some (d, p) -> Printf.sprintf "portfolio %d diver:%d prover" d p
      | None -> Printf.sprintf "%d core%s" cores (if cores = 1 then "" else "s"))
-    (bound_mode_name bound_mode)
-    (Lp.Simplex.core_to_string (Lp.Simplex.default_core ()));
+    (bound_mode_name bound_mode);
   let box = Verify.Scenario.vehicle_on_left ~slack () in
   (* Pre-OBBT stability under both analyses, so the binary-count
      reduction bought by the symbolic mode is visible at a glance. *)
@@ -507,8 +477,7 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Formally verify the vehicle-on-left safety property (pillar B).")
     Term.(const verify $ net_arg $ threshold $ time_limit $ slack $ cores_arg
-          $ portfolio_arg $ bound_mode_arg $ lp_core_arg $ certify_dir_arg
-          $ split_arg)
+          $ portfolio_arg $ bound_mode_arg $ certify_dir_arg $ split_arg)
 
 (* {1 audit} *)
 
@@ -829,8 +798,7 @@ let socket_arg =
            or a bare path (unix socket).")
 
 let serve net_path socket workers cache_dir queue max_time stats_interval
-    lp_core split =
-  apply_lp_core lp_core;
+    split =
   let net = Nn.Io.load net_path in
   Printf.printf "serving %s (hash %s) on %s\n%!"
     (Nn.Network.describe net) (Nn.Io.content_hash net)
@@ -885,7 +853,7 @@ let serve_cmd =
           subsuming verified box), solved and certified otherwise. \
           SIGINT/SIGTERM drain the queue and shut down cleanly.")
     Term.(const serve $ net_arg $ socket_arg $ workers $ cache_dir $ queue
-          $ max_time $ stats_interval $ lp_core_arg $ split_arg)
+          $ max_time $ stats_interval $ split_arg)
 
 (* The client builds the same deterministic scenario box as [verify], so
    two processes asking the same question serialise bit-identical

@@ -181,7 +181,7 @@ let build net box (bounds : Bounds.t) =
    Probes are independent of one another (each only changes the private
    copy's objective), so with [cores > 1] they fan out across a domain
    pool; the shared model is never mutated. *)
-let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
+let refine_bounds_lp ?(budget = infinity) ?(cores = 1) t net box =
   let started = Linalg.Mclock.now () in
   let lp = Milp.Model.lp t.model in
   let nlayers = Nn.Network.num_layers net in
@@ -212,8 +212,8 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
     if Linalg.Mclock.now () -. started >= budget then `Skipped_budget
     else begin
       Lp.Problem.set_objective problem [ (z, 1.0) ];
-      let up = Lp.Simplex.solve ?core:lp_core problem in
-      let down = Lp.Simplex.solve_min ?core:lp_core problem in
+      let up = Lp.Simplex.solve problem in
+      let down = Lp.Simplex.solve_min problem in
       match (up.Lp.Simplex.status, down.Lp.Simplex.status) with
       | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
           `Refined (li, r, down.Lp.Simplex.objective, up.Lp.Simplex.objective)
@@ -273,8 +273,7 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
 (* Exhausted budget still runs the round: every remaining probe then
    reports [skipped_budget], so the caller can tell truncated OBBT apart
    from OBBT that ran and failed. *)
-let tighten ?(rounds = 1) ?(budget = infinity) ?(cores = 1) ?lp_core t net
-    box =
+let tighten ?(rounds = 1) ?(budget = infinity) ?(cores = 1) t net box =
   let started = Linalg.Mclock.now () in
   let acc = ref t.obbt in
   let rec go rounds t =
@@ -282,8 +281,7 @@ let tighten ?(rounds = 1) ?(budget = infinity) ?(cores = 1) ?lp_core t net
     else begin
       let remaining = budget -. (Linalg.Mclock.now () -. started) in
       let refined, stats =
-        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores ?lp_core t
-          net box
+        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores t net box
       in
       acc :=
         {
@@ -299,7 +297,7 @@ let tighten ?(rounds = 1) ?(budget = infinity) ?(cores = 1) ?lp_core t net
   { t with obbt = !acc }
 
 let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
-    ?tighten_budget ?cores ?lp_core net box =
+    ?tighten_budget ?cores net box =
   if Array.length box <> Nn.Network.input_dim net then
     invalid_arg "Encoder.encode: box dimension mismatch";
   let bounds =
@@ -317,7 +315,7 @@ let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
           invalid_arg "Encoder.encode: box exceeds the coarse radius";
         Bounds.coarse net ~radius
   in
-  tighten ~rounds:tighten_rounds ?budget:tighten_budget ?cores ?lp_core
+  tighten ~rounds:tighten_rounds ?budget:tighten_budget ?cores
     (build net box bounds) net box
 
 (* Objective terms maximising output coordinate [k]; pure data, meant to

@@ -68,7 +68,6 @@ val encode :
   ?tighten_rounds:int ->
   ?tighten_budget:float ->
   ?cores:int ->
-  ?lp_core:Lp.Simplex.core ->
   Nn.Network.t ->
   Interval.Box.box ->
   t
@@ -86,14 +85,12 @@ val encode :
     tightening (neurons are refined in layer order, so the budget is
     spent where it matters most); default unlimited. [cores] (default 1)
     fans the independent OBBT probes across that many domains, each
-    probing a private LP copy. [lp_core] selects the LP engine for the
-    OBBT probes (default {!Lp.Simplex.default_core}). *)
+    probing a private LP copy. *)
 
 val tighten :
   ?rounds:int ->
   ?budget:float ->
   ?cores:int ->
-  ?lp_core:Lp.Simplex.core ->
   t ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -101,9 +98,9 @@ val tighten :
 (** [tighten t net box] applies [rounds] (default 1) rounds of OBBT to
     an existing encoding of [net] over [box] — what {!encode} does with
     [tighten_rounds] after building round 0, so a caller that already
-    holds the round-0 encoding need not build it twice. [budget],
-    [cores] and [lp_core] are [encode]'s [tighten_budget], [cores] and
-    [lp_core]; [obbt] accumulates onto [t]'s. [t] is not mutated. *)
+    holds the round-0 encoding need not build it twice. [budget] and
+    [cores] are [encode]'s [tighten_budget] and [cores]; [obbt]
+    accumulates onto [t]'s. [t] is not mutated. *)
 
 val output_objective : t -> int -> (Milp.Model.var * float) list
 (** [output_objective enc k] is the objective maximising output

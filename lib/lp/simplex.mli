@@ -3,12 +3,17 @@
     Solves [maximize c·x subject to rows, l <= x <= u] for problems
     built with {!Problem}. A cold {!solve} starts from the artificial
     identity basis (phase 1 drives the artificials out, phase 2
-    optimises the real objective). {!resolve} instead rebuilds a basis
+    optimises the real objective). {!resolve} instead refactors a basis
     captured from a previous optimal solve — after a single bound
     change the old optimal basis stays dual feasible, so a short
     dual-simplex run restores primal feasibility and a primal cleanup
     finishes the job. This is the natural fit for branch & bound, where
     a child's LP differs from its parent's by exactly one bound.
+
+    Every solve runs on the sparse revised simplex. The dense
+    Gauss-Jordan tableau is its checker: it re-solves cold whatever the
+    sparse core doubts, and {!solve} [~core:Dense] exposes it as the
+    oracle for tests and benchmarks.
 
     Primal unboundedness cannot occur because every variable carries
     finite bounds (enforced by {!Problem.add_var}). *)
@@ -48,26 +53,13 @@ type basis = {
     any mismatch. *)
 
 type core = Dense | Sparse
-(** Which LP engine runs a query. [Dense]: the original Gauss-Jordan
-    tableau. [Sparse]: the revised simplex on factored sparse columns —
-    asymptotically cheaper (O(nnz) per pivot instead of O(rows·cols))
-    and the default; on any numerical doubt it transparently re-runs
-    the dense oracle, and it never reports [Infeasible] without dense
-    confirmation. *)
-
-val core_of_string : string -> core option
-(** Parses ["dense"] / ["sparse"] (case-insensitive). *)
-
-val core_to_string : core -> string
-
-val default_core : unit -> core
-(** The core used when a solve is not given [?core] explicitly:
-    {!set_default_core}'s value if called, else the [DEPNN_LP_CORE]
-    environment variable (["sparse"]/["dense"], read once at startup),
-    else [Sparse]. *)
-
-val set_default_core : core -> unit
-(** Process-wide override (the CLI's [--lp-core] lands here). *)
+(** Which LP engine runs a {!solve}. [Sparse]: the revised simplex on
+    factored sparse columns — O(nnz) per pivot instead of
+    O(rows·cols), the default and the only engine of every other entry
+    point; on any numerical doubt it re-runs the problem cold on the
+    dense tableau, and it never reports [Infeasible] without dense
+    confirmation. [Dense]: the original Gauss-Jordan tableau, cold
+    only — the oracle tests and benchmarks compare against. *)
 
 val sparse_fallbacks : unit -> int
 (** How many times the sparse core handed a conclusion back to the
@@ -75,7 +67,7 @@ val sparse_fallbacks : unit -> int
 
 val refactor_interval : int ref
 (** Eta-file length that triggers a refactorization of the sparse
-    basis (default 64). Exposed for tests; leave alone otherwise. *)
+    basis (default 32). Exposed for tests; leave alone otherwise. *)
 
 type cert =
   | Cert_duals of float array
@@ -126,24 +118,23 @@ val solve :
 (** Maximise the problem's objective from a cold start. [eps] is the
     feasibility/optimality tolerance (default [1e-7]).
     [max_iterations] defaults to [500 * (rows + cols)]. [core] defaults
-    to {!default_core}. *)
+    to [Sparse]. *)
 
 val resolve :
-  ?max_iterations:int -> ?eps:float -> ?core:core -> basis:basis ->
-  Problem.t -> solution
+  ?max_iterations:int -> ?eps:float -> basis:basis -> Problem.t -> solution
 (** Maximise like {!solve}, but warm-start from [basis] (typically the
     parent node's optimal basis under slightly different bounds). The
-    restored basis is driven primal-feasible by the dual simplex, then
-    polished by the primal simplex. Correctness never depends on the
-    warm path: a stale/corrupted snapshot, a singular restored basis,
-    a dual-simplex infeasibility certificate, an iteration limit, or
-    numerical trouble all transparently fall back to a cold {!solve}
-    (the returned [warm] flag tells which path produced the answer).
-    Under the sparse core the same contract extends one layer down:
-    sparse doubt falls back to the dense engine. *)
+    restored basis is driven primal-feasible by the sparse dual simplex,
+    then polished by the primal simplex. Correctness never depends on
+    the warm path: a stale/corrupted snapshot, a singular restored
+    basis, a dual-simplex infeasibility certificate or an iteration
+    limit falls back to a cold sparse solve, and numerical trouble or a
+    sparse infeasibility conclusion to a cold dense one, counted by
+    {!sparse_fallbacks} (the returned [warm] flag tells which path
+    produced the answer). Only the dense solve's own {!Numerical_error}
+    escapes. *)
 
-val solve_min :
-  ?max_iterations:int -> ?eps:float -> ?core:core -> Problem.t -> solution
+val solve_min : ?max_iterations:int -> ?eps:float -> Problem.t -> solution
 (** Minimise instead; [objective] is reported in the minimisation sense. *)
 
 val primal_feasible : ?eps:float -> Problem.t -> float array -> bool

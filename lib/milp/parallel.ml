@@ -155,7 +155,7 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
     ?(node_limit = max_int) ?(eps = 1e-6) ?(int_eps = 1e-6)
     ?(branch_rule = Search.Most_fractional) ?depth_first
     ?(cutoff = neg_infinity) ?primal_heuristic ?node_bound ?objective
-    ?(warm = true) ?lp_core model =
+    ?(warm = true) model =
   let cores = max 1 cores in
   let split =
     match portfolio with
@@ -171,7 +171,7 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
   | None ->
       Solver.solve ~time_limit ~node_limit ~eps ~int_eps ~branch_rule
         ?depth_first ~cutoff ?primal_heuristic ?node_bound ?objective ~warm
-        ?lp_core model
+        model
   | Some (divers, provers) ->
       (* [depth_first] is a sequential ablation hook; parallel node
          order is governed by the portfolio split. *)
@@ -249,8 +249,8 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
                  this domain after an O(nnz) consistency probe. *)
               let relax =
                 match (if warm then node.Search.parent_basis else None) with
-                | Some b -> Lp.Simplex.resolve ?core:lp_core ~basis:b problem
-                | None -> Lp.Simplex.solve ?core:lp_core problem
+                | Some b -> Lp.Simplex.resolve ~basis:b problem
+                | None -> Lp.Simplex.solve problem
               in
               ignore
                 (Atomic.fetch_and_add lp_iters relax.Lp.Simplex.iterations);
@@ -440,7 +440,7 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
 
 let solve_min ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
     ?branch_rule ?depth_first ?cutoff ?primal_heuristic ?node_bound ?objective
-    ?warm ?lp_core model =
+    ?warm model =
   let minned = Model.copy model in
   let problem = Model.lp minned in
   let n = Lp.Problem.num_vars problem in
@@ -464,7 +464,7 @@ let solve_min ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
       ?depth_first
       ?cutoff:(Option.map (fun c -> -.c) cutoff)
       ?primal_heuristic:neg_heuristic ?node_bound:neg_node_bound
-      ?objective:neg_objective ?warm ?lp_core minned
+      ?objective:neg_objective ?warm minned
   in
   {
     r with

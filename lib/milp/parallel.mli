@@ -90,7 +90,6 @@ val solve :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   Model.t ->
   Solver.result
 (** Maximise the model objective. [portfolio = (divers, provers)] fixes
@@ -105,9 +104,8 @@ val solve :
     copy, so concurrent queries over one shared encoding are safe;
     [warm] (default [true]) warm-starts each node from its parent's
     basis — snapshots (including the sparse core's factored basis +
-    eta file, see [lp_core] in {!Solver.solve}) are immutable, so
-    stolen nodes warm-start safely
-    on any domain. [node_bound], like [primal_heuristic], is invoked
+    eta file) are immutable, so stolen nodes warm-start safely on any
+    domain. [node_bound], like [primal_heuristic], is invoked
     concurrently from worker domains and must be thread-safe (the
     encoder's symbolic re-propagation only reads the network and
     bounds, which qualifies). *)
@@ -126,7 +124,6 @@ val solve_min :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   Model.t ->
   Solver.result
 (** Minimise, like {!Solver.solve_min} (operates on a private copy of

@@ -41,7 +41,7 @@ let conclude ~stopped ~eps ~cutoff ~incumbent ~open_bound ~lost_bound =
 let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
     ?(int_eps = 1e-6) ?(branch_rule = Most_fractional) ?(depth_first = false)
     ?(cutoff = neg_infinity) ?primal_heuristic ?node_bound ?objective
-    ?(warm = true) ?lp_core ?on_leaf model =
+    ?(warm = true) ?on_leaf model =
   let base = Model.lp model in
   let ints = Model.integer_vars model in
   let start = Linalg.Mclock.now () in
@@ -155,8 +155,8 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
             Search.with_node_bounds problem node (fun () ->
                 let relax =
                   match (if warm then node.Search.parent_basis else None) with
-                  | Some b -> Lp.Simplex.resolve ?core:lp_core ~basis:b problem
-                  | None -> Lp.Simplex.solve ?core:lp_core problem
+                  | Some b -> Lp.Simplex.resolve ~basis:b problem
+                  | None -> Lp.Simplex.solve problem
                 in
                 lp_iters := !lp_iters + relax.Lp.Simplex.iterations;
                 match relax.Lp.Simplex.status with
@@ -225,7 +225,7 @@ let solve ?(time_limit = infinity) ?(node_limit = max_int) ?(eps = 1e-6)
   loop ()
 
 let solve_min ?time_limit ?node_limit ?eps ?int_eps ?branch_rule ?depth_first
-    ?cutoff ?primal_heuristic ?node_bound ?objective ?warm ?lp_core model =
+    ?cutoff ?primal_heuristic ?node_bound ?objective ?warm model =
   (* Negate the objective on a private copy of the model, maximise, then
      report back in min sense. The caller's model is never touched, so
      concurrent solves over the same model are safe and an exception
@@ -256,7 +256,7 @@ let solve_min ?time_limit ?node_limit ?eps ?int_eps ?branch_rule ?depth_first
     solve ?time_limit ?node_limit ?eps ?int_eps ?branch_rule ?depth_first
       ?cutoff:(Option.map (fun c -> -.c) cutoff)
       ?primal_heuristic:neg_heuristic ?node_bound:neg_node_bound
-      ?objective:neg_objective ?warm ?lp_core minned
+      ?objective:neg_objective ?warm minned
   in
   {
     r with

@@ -91,17 +91,15 @@ val solve :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   ?on_leaf:((Model.var * float * float) list -> leaf_cert -> unit) ->
   Model.t ->
   result
 (** Maximise the model objective. [eps] (default 1e-6) is the absolute
     optimality gap below which a node is pruned against the incumbent.
     [time_limit] is wall-clock seconds. [depth_first] switches the node
-    order from best-first to LIFO (ablation hook). [lp_core] selects
-    the LP engine per node ({!Lp.Simplex.core}, default
-    {!Lp.Simplex.default_core}); under the sparse core each node
-    re-solve reuses the factored basis carried in its parent snapshot.
+    order from best-first to LIFO (ablation hook). Each node LP runs on
+    the sparse core, and a warm node re-solve reuses the factored basis
+    carried in its parent snapshot.
 
     [objective] replaces the model's objective for this solve only — it
     is applied to the solver's private problem copy, so the caller's
@@ -156,7 +154,6 @@ val solve_min :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   Model.t ->
   result
 (** Minimise; [best_bound] is then a valid lower bound, and incumbent

@@ -76,13 +76,13 @@ let node_bound_for ~bound_mode enc net box ~output =
    more than one node's slack. *)
 let maximize_outputs ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(depth_first = false) ?(cores = 1) ?portfolio ?(warm = true) ?lp_core
+    ?(depth_first = false) ?(cores = 1) ?portfolio ?(warm = true)
     ~outputs:output_indices net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
   let enc =
     Encoding.Encoder.encode ~bound_mode ~tighten_rounds
-      ~tighten_budget:(0.5 *. time_limit) ~cores ?lp_core net box
+      ~tighten_budget:(0.5 *. time_limit) ~cores net box
   in
   let priority = Encoding.Encoder.layer_order_priority enc in
   let queries = Array.of_list output_indices in
@@ -100,7 +100,7 @@ let maximize_outputs ?(time_limit = 60.0)
       ~primal_heuristic
       ?node_bound:(node_bound_for ~bound_mode enc net box ~output:k)
       ~objective:(Encoding.Encoder.output_objective enc k)
-      ~warm ?lp_core enc.Encoding.Encoder.model
+      ~warm enc.Encoding.Encoder.model
   in
   let results =
     if cores > 1 && n_queries > 1 && portfolio = None then begin
@@ -188,17 +188,17 @@ let maximize_outputs ?(time_limit = 60.0)
   }
 
 let max_lateral_velocity ?time_limit ?bound_mode ?tighten_rounds ?depth_first
-    ?cores ?portfolio ?warm ?lp_core ~components net box =
+    ?cores ?portfolio ?warm ~components net box =
   let outputs =
     List.init components (fun k -> Nn.Gmm.mu_lat_index ~components k)
   in
   maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?depth_first ?cores
-    ?portfolio ?warm ?lp_core ~outputs net box
+    ?portfolio ?warm ~outputs net box
 
 let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?depth_first
-    ?cores ?portfolio ?warm ?lp_core ~output net box =
+    ?cores ?portfolio ?warm ~output net box =
   maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?depth_first ?cores
-    ?portfolio ?warm ?lp_core ~outputs:[ output ] net box
+    ?portfolio ?warm ~outputs:[ output ] net box
 
 type proof = Proved | Disproved of witness | Unknown of { best_bound : float }
 
@@ -312,11 +312,11 @@ type rung = Cached | Revalidated | Presolved | Solved | Unsettled
       run that keeps no evidence, OBBT on that same build for the
       components still pending, and the pre-pass again on the
       tightened bound;
-   5. a cutoff MILP per pending component under a rolled-forward slice
-      of the whole-call deadline, on the requested LP core and then on
-      the dense one: only a rung that {e raises} hands over to the next
-      (a timeout ends the ladder with the tightest sound bound seen),
-      and a leaf whose every core raised ends in an honest Unknown.
+   5. one cutoff MILP per pending component under a rolled-forward
+      slice of the whole-call deadline. A timeout leaves the tightest
+      sound bound seen; a MILP that {e raises} leaves the analysis bound
+      and an honest Unknown — every LP inside it that raised or doubted
+      has already been re-solved cold on the dense core.
 
    Rungs 1–2 need a proof store, which only a split brings; rung 3
    needs a leaf directory. One disproved leaf disproves the parent (its
@@ -324,7 +324,7 @@ type rung = Cached | Revalidated | Presolved | Solved | Unsettled
    stops the campaign. *)
 let prove_lateral_velocity_le ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?(warm = true) ?lp_core ?certify_dir ?split ?store
+    ?(cores = 1) ?portfolio ?(warm = true) ?certify_dir ?split ?store
     ?session ~components ~threshold net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
@@ -429,12 +429,6 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
     let component = !component in
     { input; outputs; achieved = outputs.(output component); component }
   in
-  (* The LP cores of rung 5, in order. *)
-  let cores_ladder =
-    match Option.value lp_core ~default:(Lp.Simplex.default_core ()) with
-    | Lp.Simplex.Dense -> [ Lp.Simplex.Dense ]
-    | first -> [ first; Lp.Simplex.Dense ]
-  in
   let settle_leaf ~cores ~portfolio ~slice idx =
     let leaf_started = Linalg.Mclock.now () in
     let leaf_deadline = leaf_started +. slice in
@@ -470,7 +464,10 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
        certificate that would not survive the audit is still written
        (the rejection stays explainable) but is journaled as [unknown] —
        neither a resume nor the proof store may ever trust a verdict
-       whose own evidence does not replay. Returns whether it replayed.
+       whose own evidence does not replay. It is written under a name of
+       its own kind, [component-<k>.<kind>.rejected], that no later
+       certificate of the component reuses, so the [unknown] line keeps
+       pointing at the evidence that failed. Returns whether it replayed.
        The leaf's components share one replay of the leaf question —
        one outward bound pass and one encoder rebuild of its own, never
        this driver's encodings or analysis. *)
@@ -487,7 +484,15 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
       in
       let audited = Result.is_ok (Certify.Audit.check replay cert) in
       if audited then incr certified;
-      let name = Printf.sprintf "component-%d.cert" k in
+      let name =
+        if audited then Printf.sprintf "component-%d.cert" k
+        else
+          Printf.sprintf "component-%d.%s.rejected" k
+            (match body with
+             | Certify.Certificate.Presolve _ -> "presolve"
+             | Certify.Certificate.Milp_tree _ -> "tree"
+             | Certify.Certificate.Witness _ -> "witness")
+      in
       Certify.Journal.write_cert ~dir ~name
         (Certify.Certificate.to_string cert);
       journal ~dir k (if audited then verdict else "unknown") (Some name);
@@ -633,7 +638,7 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
             match
               Encoding.Encoder.tighten ~rounds:tighten_rounds
                 ~budget:(0.5 *. (leaf_deadline -. Linalg.Mclock.now ()))
-                ~cores ?lp_core enc0 net lbox
+                ~cores enc0 net lbox
             with
             | enc -> (enc, prepass enc pending)
             | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
@@ -644,7 +649,7 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
         let priority = Encoding.Encoder.layer_order_priority enc in
         let model = enc.Encoding.Encoder.model in
         let model_hash = lazy (Certify.Certificate.model_fingerprint model) in
-        let solve_on core ~time_limit k =
+        let solve_milp ~time_limit k =
           let objective = Encoding.Encoder.output_objective enc (output k) in
           let branch_rule = Milp.Solver.Priority priority in
           match dir with
@@ -669,7 +674,7 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
               in
               let r =
                 Milp.Solver.solve ~time_limit ~cutoff:threshold ~branch_rule
-                  ~objective ~warm ~lp_core:core ~on_leaf model
+                  ~objective ~warm ~on_leaf model
               in
               (r, Array.of_list (List.rev !leaves))
           | None ->
@@ -677,40 +682,33 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
                   ~cutoff:threshold ~branch_rule
                   ?node_bound:
                     (node_bound_for ~bound_mode enc net lbox ~output:(output k))
-                  ~objective ~warm ~lp_core:core model,
+                  ~objective ~warm model,
                 [||] )
         in
         let rec solve = function
           | [] -> ()
           | k :: rest as queue -> (
-              let share_end =
-                Linalg.Mclock.now ()
-                +. budget_slice ~deadline:leaf_deadline
-                     ~queue_len:(List.length queue) ()
+              let time_limit =
+                budget_slice ~deadline:leaf_deadline
+                  ~queue_len:(List.length queue) ()
               in
               let analysis_ub = output_upper enc (output k) in
-              let rec ladder = function
-                | [] -> `Bound analysis_ub
-                | core :: lower -> (
-                    let time_limit =
-                      Float.max 0.0 (share_end -. Linalg.Mclock.now ())
-                    in
-                    match solve_on core ~time_limit k with
-                    | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
-                        incr degraded;
-                        ladder lower
-                    | r, leaves -> (
-                        nodes := !nodes + r.Milp.Solver.nodes;
-                        match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
-                        | Some (solution, _), _ -> `Disproved solution
-                        | None, Milp.Solver.Optimal -> `Proved leaves
-                        | None, _ ->
-                            (* Two sound upper bounds — the solver's and
-                               the analysis one — so the tighter stands. *)
-                            `Bound
-                              (Float.min r.Milp.Solver.best_bound analysis_ub)))
+              let outcome =
+                match solve_milp ~time_limit k with
+                | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
+                    incr degraded;
+                    `Bound analysis_ub
+                | r, leaves -> (
+                    nodes := !nodes + r.Milp.Solver.nodes;
+                    match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
+                    | Some (solution, _), _ -> `Disproved solution
+                    | None, Milp.Solver.Optimal -> `Proved leaves
+                    | None, _ ->
+                        (* Two sound upper bounds — the solver's and the
+                           analysis one — so the tighter stands. *)
+                        `Bound (Float.min r.Milp.Solver.best_bound analysis_ub))
               in
-              match ladder cores_ladder with
+              match outcome with
               | `Proved leaves ->
                   Option.iter
                     (fun dir ->

@@ -46,7 +46,6 @@ val max_lateral_velocity :
   ?cores:int ->
   ?portfolio:int * int ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   components:int ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -66,9 +65,7 @@ val max_lateral_velocity :
     OBBT probes on that many domains ({!Milp.Parallel}); results agree
     with [cores = 1] up to solver epsilon. [warm] (default [true])
     warm-starts child nodes from parent bases; pass [false] for
-    cold-solve ablations. [lp_core] selects the LP engine for OBBT and
-    every node re-solve ({!Lp.Simplex.core}; default
-    {!Lp.Simplex.default_core}, i.e. sparse unless overridden).
+    cold-solve ablations.
 
     [bound_mode] selects the encoder's bound analysis
     ({!Encoding.Encoder.bound_mode}). Under [Symbolic_bounds] the
@@ -94,7 +91,6 @@ val maximize_output :
   ?cores:int ->
   ?portfolio:int * int ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   output:int ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -128,9 +124,9 @@ type proof_result = {
       (** components skipped because a valid journal entry from a
           previous run of the same question already settled them *)
   degraded : int;
-      (** ladder steps — an OBBT round or an LP core's MILP — that
-          raised ([Lp.Simplex.Numerical_error] or [Failure]) and handed
-          over to the next one *)
+      (** ladder steps — an OBBT round or a component's MILP — that
+          raised ([Lp.Simplex.Numerical_error] or [Failure]); the leaf
+          then goes on without that step's result *)
   partition : Partition.stats option;
       (** leaf accounting when the query ran partitioned ([?split]);
           [None] for a monolithic solve *)
@@ -170,7 +166,6 @@ val prove_lateral_velocity_le :
   ?cores:int ->
   ?portfolio:int * int ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
   ?split:Partition.policy ->
   ?store:Certify.Store.t ->
@@ -210,13 +205,13 @@ val prove_lateral_velocity_le :
       already meets [threshold] is discharged without search —
       [presolved] counts them, and when it discharges everything the
       verdict is [Proved] with [proof_nodes = 0];
-    + a cutoff MILP per pending component, on [lp_core] (default
-      {!Lp.Simplex.default_core}) and then on the dense core. Only a
-      rung that {e raises} a numerical failure hands over to the next
-      ([degraded] counts the hand-overs); a leaf whose every core
-      raised ends in an honest [Unknown] at its analysis bound, never
-      an exception. A timeout ends the ladder with the tightest sound
-      bound seen: the solver's or the analysis one.
+    + one cutoff MILP per pending component. A timeout leaves the
+      tightest sound bound seen: the solver's or the analysis one. A
+      MILP that raises a numerical failure leaves the component an
+      honest [Unknown] at its analysis bound, never an exception, and
+      counts in [degraded]; no second engine is tried, because every
+      LP inside it that raised or doubted was already re-solved cold on
+      the dense core ({!Lp.Simplex.resolve}).
 
     {b Evidence.} One rule decides everything else: does the run keep
     replayable evidence? It does with [certify_dir] on a monolithic
@@ -229,8 +224,12 @@ val prove_lateral_velocity_le :
       self-checked by the audit's own replay, plus a checksummed,
       fsynced journal line, so [depnn audit] can re-verify the verdict
       with outward-rounded arithmetic and a kill at any instant loses
-      at most the component in flight. The monolithic directory holds
-      [component-k.cert] and the journal directly; a split gives each
+      at most the component in flight. A certificate that fails its
+      self-check is kept as [component-k.<kind>.rejected] ([kind] one
+      of [presolve], [tree], [witness]) behind an [unknown] journal
+      line, so a later certificate of the component never overwrites
+      it. The monolithic directory holds [component-k.cert] and the
+      journal directly; a split gives each
       leaf its own directory named by its property hash under the store
       root, records each verdict in the store as it lands, and writes a
       checksummed {!Certify.Shard} manifest of the split tree. Only what

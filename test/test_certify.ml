@@ -706,6 +706,59 @@ let test_raising_rungs_degrade_to_unknown () =
         certify_dir)
     [ None; Some (fresh_dir "ladder_raise") ]
 
+(* A certificate that fails its self-check keeps a file of its own: on
+   the pinned I4x40 at slack 0.003 the outward replay of every presolve
+   hyperplane is too loose for threshold 1.0, so each component is
+   journaled [unknown] behind its rejected presolve certificate and then
+   proved by the MILP tree. The tree certificate must not overwrite the
+   rejected one, so each journal line still points at the evidence it
+   speaks of. *)
+let test_rejected_certificate_keeps_its_file () =
+  let net = Nn.Io.load "../depnnbench/nets/i4x40.nn" in
+  let dir = fresh_dir "rejected" in
+  let r =
+    Verify.Driver.prove_lateral_velocity_le
+      ~bound_mode:Encoding.Encoder.Symbolic_bounds ~certify_dir:dir
+      ~time_limit:30.0 ~components:3 ~threshold:1.0 net
+      (Verify.Scenario.vehicle_on_left ~slack:0.003 ())
+  in
+  Alcotest.(check bool) "proved" true (r.Verify.Driver.proof = Verify.Driver.Proved);
+  let load name =
+    match Certify.Journal.read_cert ~dir ~name with
+    | Error m -> Alcotest.fail (name ^ ": " ^ m)
+    | Ok blob -> (
+        match Certify.Certificate.of_string blob with
+        | Error m -> Alcotest.fail (name ^ ": " ^ m)
+        | Ok c -> c)
+  in
+  let entries = Certify.Journal.load ~dir in
+  List.iter
+    (fun k ->
+      let lines =
+        List.filter (fun (e : Certify.Journal.entry) -> e.Certify.Journal.component = k) entries
+      in
+      match lines with
+      | [ { Certify.Journal.verdict = "unknown"; cert_file = Some rejected; _ };
+          { Certify.Journal.verdict = "proved"; cert_file = Some proved; _ } ] ->
+          Alcotest.(check string) "rejected presolve name"
+            (Printf.sprintf "component-%d.presolve.rejected" k) rejected;
+          Alcotest.(check string) "proved name"
+            (Printf.sprintf "component-%d.cert" k) proved;
+          (match (load rejected).Certify.Certificate.body with
+           | Certify.Certificate.Presolve _ -> ()
+           | _ -> Alcotest.fail "the unknown line's file is not the presolve");
+          Alcotest.(check bool) "the unknown line's file fails its audit" true
+            (Result.is_error (Certify.Audit.check_certificate net (load rejected)));
+          Alcotest.(check bool) "the proved line's file passes its audit" true
+            (Result.is_ok (Certify.Audit.check_certificate net (load proved)))
+      | _ ->
+          Alcotest.fail
+            (Printf.sprintf "component %d: expected an unknown then a proved line" k))
+    [ 0; 1; 2 ];
+  let rep = Certify.Audit.run ~net ~dir in
+  Alcotest.(check bool) "directory audits to proved" true
+    (rep.Certify.Audit.ok && rep.Certify.Audit.verdict = `Proved)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -744,6 +797,8 @@ let () =
           slow "raising rungs degrade to unknown"
             test_raising_rungs_degrade_to_unknown;
           slow "replay never lends state" test_replay_never_lends_state;
+          slow "rejected certificate keeps its file"
+            test_rejected_certificate_keeps_its_file;
         ] );
       ("symbolic", [ quick "I4x10 bit-identical" test_symbolic_uppers_i4x10 ]);
       ( "properties",

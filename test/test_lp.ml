@@ -435,10 +435,10 @@ let prop_min_is_neg_max =
 
 (* {2 Sparse core}
 
-   The revised simplex on a factored basis is the default LP engine; the
-   dense tableau stays compiled in as its oracle. These tests pin the
-   {!Lp.Sparse} primitives and the equivalence / fallback contract the
-   dispatcher promises. *)
+   The revised simplex on a factored basis is the LP engine every solve
+   runs; the dense tableau stays compiled in as its cold fallback and
+   oracle. These tests pin the {!Lp.Sparse} primitives and the
+   equivalence / fallback contract the dispatcher promises. *)
 
 let sparse = Lp.Simplex.Sparse
 let dense = Lp.Simplex.Dense
@@ -580,6 +580,59 @@ let test_sparse_falls_back_on_numerical_error () =
   Alcotest.(check bool) "fallback counted" true
     (Lp.Simplex.sparse_fallbacks () > before)
 
+let test_sparse_resolve_falls_back_dense_cold () =
+  (* A warm re-solve the sparse core cannot stand behind is solved again
+     cold on the dense tableau, and counted. The parent is feasible only
+     while [y] may go negative; the poison is a NaN objective
+     coefficient set after the parent solve, which the sparse warm
+     restore raises on. *)
+  let p = Lp.Problem.create () in
+  let x = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
+  let y = Lp.Problem.add_var p ~lo:(-10.0) ~hi:10.0 ~obj:1.0 () in
+  Lp.Problem.add_constraint p [ (x, 1.0); (y, -1.0) ] Lp.Problem.Ge 0.5;
+  Lp.Problem.add_constraint p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Le 0.4;
+  let parent = Lp.Simplex.solve p in
+  check_status Lp.Simplex.Optimal parent;
+  let basis = Option.get parent.Lp.Simplex.basis in
+  Lp.Problem.set_objective p [ (x, Float.nan); (y, 1.0) ];
+  let counted what f =
+    let before = Lp.Simplex.sparse_fallbacks () in
+    let r =
+      match f () with
+      | r -> Ok r
+      | exception Lp.Simplex.Numerical_error m -> Error m
+      | exception e -> Alcotest.fail ("untyped escape: " ^ Printexc.to_string e)
+    in
+    Alcotest.(check int) (what ^ ": one fallback counted") (before + 1)
+      (Lp.Simplex.sparse_fallbacks ());
+    r
+  in
+  (* Feasible child: the dense cold solve reads the poisoned objective
+     after its phase 1 and raises the same typed error a direct dense
+     solve does — the only exception that escapes. *)
+  (match counted "feasible child" (fun () -> Lp.Simplex.resolve ~basis p) with
+   | Ok _ -> Alcotest.fail "a poisoned feasible child must raise"
+   | Error m -> (
+       match Lp.Simplex.solve ~core:dense p with
+       | _ -> Alcotest.fail "the dense cold solve must raise too"
+       | exception Lp.Simplex.Numerical_error m' ->
+           Alcotest.(check string) "the dense cold solve's error" m' m));
+  (* Infeasible child (two rows jointly, neither alone): the dense phase
+     1 concludes before it reads the objective, so the answer is the
+     dense cold one — not warm, with the Farkas ray only the dense phase
+     1 emits. *)
+  Lp.Problem.set_bounds p y ~lo:0.0 ~hi:10.0;
+  match counted "infeasible child" (fun () -> Lp.Simplex.resolve ~basis p) with
+  | Error m -> Alcotest.fail ("infeasible child raised: " ^ m)
+  | Ok r ->
+      check_status Lp.Simplex.Infeasible r;
+      Alcotest.(check bool) "cold, not warm" false r.Lp.Simplex.warm;
+      Alcotest.(check bool) "Farkas ray of the dense phase 1" true
+        (match r.Lp.Simplex.cert with
+         | Some (Lp.Simplex.Cert_farkas _) -> true
+         | Some (Lp.Simplex.Cert_duals _ | Lp.Simplex.Cert_empty_row _) | None ->
+             false)
+
 let test_sparse_corrupted_basis_falls_back () =
   (* Garbage snapshots under the sparse core: degrade to a cold solve
      that agrees with the dense oracle, never an error. *)
@@ -591,7 +644,7 @@ let test_sparse_corrupted_basis_falls_back () =
   let cold = Lp.Simplex.solve ~core:dense p in
   List.iter
     (fun basis ->
-      let r = Lp.Simplex.resolve ~core:sparse ~basis p in
+      let r = Lp.Simplex.resolve ~basis p in
       check_status Lp.Simplex.Optimal r;
       Alcotest.(check bool) "fell back to cold" false r.Lp.Simplex.warm;
       Alcotest.(check (float 1e-9)) "same answer as dense cold"
@@ -622,7 +675,7 @@ let test_sparse_stale_factor_probe () =
   Alcotest.(check bool) "sparse snapshot carries a factor" true
     (Option.is_some basis.Lp.Simplex.bfactor);
   let p = build 2.0 in
-  let warm = Lp.Simplex.resolve ~core:sparse ~basis p in
+  let warm = Lp.Simplex.resolve ~basis p in
   let cold = Lp.Simplex.solve ~core:dense p in
   check_status cold.Lp.Simplex.status warm;
   Alcotest.(check (float 1e-6)) "matches dense cold"
@@ -679,7 +732,7 @@ let prop_sparse_resolve_equals_dense_cold =
           let cut = lo +. (frac *. (hi -. lo)) in
           if side then Lp.Problem.set_bounds p v ~lo ~hi:cut
           else Lp.Problem.set_bounds p v ~lo:cut ~hi;
-          let warm = Lp.Simplex.resolve ~core:sparse ~basis p in
+          let warm = Lp.Simplex.resolve ~basis p in
           let cold = Lp.Simplex.solve ~core:dense p in
           (match (warm.Lp.Simplex.status, cold.Lp.Simplex.status) with
            | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
@@ -727,6 +780,8 @@ let () =
           quick "refactor every pivot" test_refactor_every_pivot_matches_dense;
           quick "numerical error falls back"
             test_sparse_falls_back_on_numerical_error;
+          quick "resolve falls back dense cold"
+            test_sparse_resolve_falls_back_dense_cold;
           quick "corrupted basis falls back"
             test_sparse_corrupted_basis_falls_back;
           quick "stale factor probe" test_sparse_stale_factor_probe;

@@ -810,12 +810,15 @@ let prop_warm_matches_cold =
          < 1e-6
       && warm.Milp.Solver.lp_iterations <= cold.Milp.Solver.lp_iterations)
 
-(* {2 Sparse vs dense LP core} *)
+(* {2 Ground truth for the mixed model} *)
 
-let prop_sparse_lp_core_matches_dense =
-  (* Whole-B&B equivalence: verdict, incumbent and proven bound must not
-     depend on which LP engine evaluates the nodes. *)
-  QCheck.Test.make ~name:"sparse lp core matches dense (MILP)" ~count:40
+let prop_mixed_knapsack_matches_brute_force =
+  (* The mixed model the agreement properties above share, checked
+     against ground truth rather than against another configuration:
+     for each assignment of the binaries the continuous [y] has the
+     closed-form best [min 1 (1.4 - x0)], so enumerating the
+     assignments gives the exact optimum branch & bound must reach. *)
+  QCheck.Test.make ~name:"B&B with continuous y = brute force" ~count:40
     (QCheck.make gen_knapsack) (fun (values, weights, capacity) ->
       let m = Milp.Model.create () in
       let xs = List.map (fun _ -> Milp.Model.add_binary m ()) values in
@@ -824,21 +827,33 @@ let prop_sparse_lp_core_matches_dense =
       Milp.Model.add_le m [ (y, 1.0); (List.hd xs, 1.0) ] 1.4;
       Milp.Model.set_objective m
         ((y, 0.7) :: List.map2 (fun x v -> (x, v)) xs values);
-      let s = Milp.Solver.solve ~lp_core:Lp.Simplex.Sparse m in
-      let d = Milp.Solver.solve ~lp_core:Lp.Simplex.Dense m in
-      outcome_name s.Milp.Solver.outcome = outcome_name d.Milp.Solver.outcome
-      && (match (s.Milp.Solver.incumbent, d.Milp.Solver.incumbent) with
-         | Some (_, a), Some (_, b) -> Float.abs (a -. b) < 1e-6
-         | None, None -> true
-         | _ -> false)
-      && Float.abs (s.Milp.Solver.best_bound -. d.Milp.Solver.best_bound)
-         < 1e-6)
+      let n = List.length values in
+      let values = Array.of_list values and weights = Array.of_list weights in
+      let best = ref neg_infinity in
+      for mask = 0 to (1 lsl n) - 1 do
+        let v = ref 0.0 and w = ref 0.0 in
+        for i = 0 to n - 1 do
+          if mask land (1 lsl i) <> 0 then begin
+            v := !v +. values.(i);
+            w := !w +. weights.(i)
+          end
+        done;
+        let y = Float.min 1.0 (1.4 -. float_of_int (mask land 1)) in
+        if !w <= capacity +. 1e-9 then best := Float.max !best (!v +. (0.7 *. y))
+      done;
+      let r = Milp.Solver.solve m in
+      r.Milp.Solver.outcome = Milp.Solver.Optimal
+      &&
+      match r.Milp.Solver.incumbent with
+      | Some (_, v) -> Float.abs (v -. !best) < 1e-6
+      | None -> false)
 
 let test_sparse_warm_resolve_beats_dense () =
   (* Strict acceptance for the revised simplex: on the NN smoke
      encoding, a depth-12 warm node re-solve through the factored basis
-     must beat the same re-solve on the dense tableau (the tentpole's
-     headline number; min-of-5 per core to de-noise). *)
+     must beat the dense cold re-solve of the same child — the path a
+     node takes when its sparse re-solve doubts (min-of-5 each to
+     de-noise). *)
   let rng = Linalg.Rng.create 21 in
   let net =
     Nn.Network.create ~rng [ 6; 10; 10; Nn.Gmm.output_dim ~components:2 ]
@@ -852,27 +867,27 @@ let test_sparse_warm_resolve_beats_dense () =
     |> List.mapi (fun i (v, _, _) ->
            if i mod 2 = 0 then (v, 0.0, 0.0) else (v, 1.0, 1.0))
   in
-  let run core =
-    let parent = Lp.Simplex.solve ~core p in
-    let basis =
-      match parent.Lp.Simplex.basis with
-      | Some b -> b
-      | None -> Alcotest.fail "relaxation must yield a basis snapshot"
-    in
-    Lp.Problem.push_bounds p;
-    List.iter (fun (v, lo, hi) -> Lp.Problem.set_bounds p v ~lo ~hi) fixes;
-    let warm = Lp.Simplex.resolve ~core ~basis p in
+  let basis =
+    match (Lp.Simplex.solve p).Lp.Simplex.basis with
+    | Some b -> b
+    | None -> Alcotest.fail "relaxation must yield a basis snapshot"
+  in
+  let best_of solve =
     let best = ref infinity in
     for _ = 1 to 5 do
       let t0 = Unix.gettimeofday () in
-      ignore (Lp.Simplex.resolve ~core ~basis p);
+      ignore (solve ());
       best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
-    Lp.Problem.pop_bounds p;
-    (warm, !best)
+    !best
   in
-  let sparse_sol, sparse_s = run Lp.Simplex.Sparse in
-  let dense_sol, dense_s = run Lp.Simplex.Dense in
+  Lp.Problem.push_bounds p;
+  List.iter (fun (v, lo, hi) -> Lp.Problem.set_bounds p v ~lo ~hi) fixes;
+  let sparse_warm () = Lp.Simplex.resolve ~basis p in
+  let dense_cold () = Lp.Simplex.solve ~core:Lp.Simplex.Dense p in
+  let sparse_sol = sparse_warm () and dense_sol = dense_cold () in
+  let sparse_s = best_of sparse_warm and dense_s = best_of dense_cold in
+  Lp.Problem.pop_bounds p;
   Alcotest.(check bool) "same status" true
     (sparse_sol.Lp.Simplex.status = dense_sol.Lp.Simplex.status);
   Alcotest.(check (float 1e-5)) "same child objective"
@@ -880,7 +895,7 @@ let test_sparse_warm_resolve_beats_dense () =
   Alcotest.(check bool) "sparse took the warm path" true
     sparse_sol.Lp.Simplex.warm;
   Alcotest.(check bool)
-    (Printf.sprintf "sparse warm re-solve (%.3f ms) < dense (%.3f ms)"
+    (Printf.sprintf "sparse warm re-solve (%.3f ms) < dense cold (%.3f ms)"
        (1e3 *. sparse_s) (1e3 *. dense_s))
     true (sparse_s < dense_s)
 
@@ -997,6 +1012,6 @@ let () =
             prop_portfolio_matches_sequential;
             prop_pseudo_first_matches_reference;
             prop_warm_matches_cold;
-            prop_sparse_lp_core_matches_dense;
+            prop_mixed_knapsack_matches_brute_force;
           ] );
     ]
